@@ -67,8 +67,11 @@ class Tensor:
         if g.shape != self.data.shape:
             raise ShapeError(f"gradient shape {g.shape} != tensor shape {self.data.shape}")
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            # always a fresh C-ordered copy: pulls may hand the same array to
+            # several inputs (add) or return views of their own buffers
+            self.grad = np.array(g, dtype=np.float64, order="C")
+        else:
+            self.grad += g
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -333,6 +336,15 @@ def conv2d(
 
     ``same`` padding is symmetric with the extra pixel on the bottom/right;
     output spatial size is ceil(extent / stride).
+
+    All three products are single 2-D GEMMs over one channel-major column
+    matrix ``cols`` of shape (C·kh·kw, N·Ho·Wo), built from a strided
+    ``sliding_window_view`` of the padded input: the output is
+    ``W(K, C·kh·kw) @ cols``, dW is ``g(K, N·Ho·Wo) @ cols.T`` and dX is
+    ``W.T @ g`` folded back by col2im into a (C, N, H, W) buffer. Keeping C
+    and kh·kw outermost makes the im2col copy and the col2im adds run over
+    contiguous (N, Ho, Wo) blocks, which row-major (N·Ho·Wo, C·kh·kw) columns
+    do not. dX is skipped when ``x`` does not require a gradient.
     """
     if x.ndim != 4 or w.ndim != 4:
         raise ShapeError(f"conv2d expects 4-D input and kernel, got {x.shape}, {w.shape}")
@@ -360,26 +372,27 @@ def conv2d(
         raise ShapeError("conv2d: kernel larger than padded input")
 
     xp = np.pad(x.data, ((0, 0), (0, 0), (pt, pb), (pl, pr)))
-    cols = np.empty((n, c, kh, kw, ho, wo))
-    for i in range(kh):
-        for j in range(kw):
-            cols[:, :, i, j] = xp[:, :, i : i + sh * ho : sh, j : j + sw * wo : sw]
-
-    out = np.tensordot(cols, w.data, axes=([1, 2, 3], [1, 2, 3]))  # (n, ho, wo, k)
-    out = np.ascontiguousarray(out.transpose(0, 3, 1, 2))
+    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::sh, ::sw]
+    cols = win.transpose(1, 4, 5, 0, 2, 3).reshape(c * kh * kw, n * ho * wo)
+    wmat = w.data.reshape(k, -1)
+    out = wmat @ cols
     if b is not None:
-        out += b.data[None, :, None, None]
+        out += b.data[:, None]
+    out = np.ascontiguousarray(out.reshape(k, n, ho, wo).transpose(1, 0, 2, 3))
+    hp, wp = xp.shape[2:]
 
     def pull(g):
-        dw = np.tensordot(g, cols, axes=([0, 2, 3], [0, 4, 5]))
+        g2 = g.transpose(1, 0, 2, 3).reshape(k, -1)
+        dw = (g2 @ cols.T).reshape(w.shape)
         db = g.sum(axis=(0, 2, 3)) if b is not None else None
-        dcols = np.tensordot(g, w.data, axes=([1], [0]))  # (n, ho, wo, c, kh, kw)
-        dcols = dcols.transpose(0, 3, 4, 5, 1, 2)
-        dxp = np.zeros_like(xp)
-        for i in range(kh):
-            for j in range(kw):
-                dxp[:, :, i : i + sh * ho : sh, j : j + sw * wo : sw] += dcols[:, :, i, j]
-        dx = dxp[:, :, pt : pt + h, pl : pl + wd]
+        dx = None
+        if x.requires_grad:
+            dcols = (wmat.T @ g2).reshape(c, kh, kw, n, ho, wo)
+            dxp = np.zeros((c, n, hp, wp))
+            for i in range(kh):
+                for j in range(kw):
+                    dxp[:, :, i : i + sh * ho : sh, j : j + sw * wo : sw] += dcols[:, i, j]
+            dx = dxp[:, :, pt : pt + h, pl : pl + wd].transpose(1, 0, 2, 3)
         if b is not None:
             return dx, dw, db
         return dx, dw

@@ -137,6 +137,93 @@ class TestConv2d:
         assert err < 1e-6
 
 
+def conv_reference(x, w, b, stride, padding):
+    """Direct nested-loop cross-correlation; ``same`` puts the odd pad pixel low/right."""
+    n, c, h, wd = x.shape
+    k, _, kh, kw = w.shape
+    sh, sw = stride
+    if padding == "same":
+        ho, wo = -(-h // sh), -(-wd // sw)
+        pt = max((ho - 1) * sh + kh - h, 0) // 2
+        pl = max((wo - 1) * sw + kw - wd, 0) // 2
+    else:
+        ho, wo = (h - kh) // sh + 1, (wd - kw) // sw + 1
+        pt = pl = 0
+    out = np.zeros((n, k, ho, wo))
+    for ni, ki, i, j in np.ndindex(n, k, ho, wo):
+        acc = 0.0 if b is None else b[ki]
+        for ci, di, dj in np.ndindex(c, kh, kw):
+            r, s = i * sh + di - pt, j * sw + dj - pl
+            if 0 <= r < h and 0 <= s < wd:
+                acc += x[ni, ci, r, s] * w[ki, ci, di, dj]
+        out[ni, ki, i, j] = acc
+    return out
+
+
+CONV_GRID = [
+    pytest.param(
+        kernel, stride, padding, bias,
+        id=f"k{kernel[0]}x{kernel[1]}-s{stride[0]}x{stride[1]}-{padding}{'-bias' if bias else ''}",
+    )
+    for kernel in ((3, 3), (3, 1), (1, 1))
+    for stride in ((1, 1), (2, 2), (2, 1))
+    for padding in ("same", "valid")
+    for bias in (False, True)
+]
+
+
+class TestConv2dGrid:
+    @staticmethod
+    def operands(kernel, bias):
+        r = rng()
+        x = Tensor(r.uniform(-2, 2, (2, 2, 5, 7)), requires_grad=True)  # odd H and W
+        w = Tensor(r.uniform(-1, 1, (3, 2) + kernel), requires_grad=True)
+        b = Tensor(r.uniform(-1, 1, (3,)), requires_grad=True) if bias else None
+        return r, x, w, b
+
+    @pytest.mark.parametrize("kernel,stride,padding,bias", CONV_GRID)
+    def test_forward_matches_nested_loop(self, kernel, stride, padding, bias):
+        _, x, w, b = self.operands(kernel, bias)
+        y = T.conv2d(x, w, b, stride=stride, padding=padding)
+        want = conv_reference(x.data, w.data, None if b is None else b.data, stride, padding)
+        assert y.shape == want.shape
+        np.testing.assert_allclose(y.data, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("kernel,stride,padding,bias", CONV_GRID)
+    def test_weighted_gradient_matches_fd(self, kernel, stride, padding, bias):
+        # a random upstream gradient: all-ones cannot tell a flipped kernel in dX
+        r, x, w, b = self.operands(kernel, bias)
+        y_shape = T.conv2d(x, w, b, stride=stride, padding=padding).shape
+        weight = Tensor(r.uniform(-1, 1, y_shape))
+        leaves = [x, w] if b is None else [x, w, b]
+        err = check_gradients(
+            lambda: T.sum_all(T.mul(T.conv2d(x, w, b, stride=stride, padding=padding), weight)), leaves
+        )
+        assert err < 1e-6
+
+    def test_input_without_grad_gets_none_and_weights_match_fd(self):
+        r = rng()
+        x = Tensor(r.uniform(-2, 2, (2, 2, 5, 7)))
+        w = Tensor(r.uniform(-1, 1, (3, 2, 3, 3)), requires_grad=True)
+        b = Tensor(r.uniform(-1, 1, (3,)), requires_grad=True)
+        weight = Tensor(r.uniform(-1, 1, (2, 3, 3, 4)))
+
+        def build():
+            return T.sum_all(T.mul(T.conv2d(x, w, b, stride=(2, 2), padding="same"), weight))
+
+        err = check_gradients(build, [w, b])
+        assert x.grad is None
+        assert err < 1e-6
+        dw = w.grad.copy()
+        x.requires_grad = True
+        w.grad = None
+        with Tape() as tape:
+            root = build()
+        tape.backward(root)
+        assert x.grad is not None
+        np.testing.assert_array_equal(w.grad, dw)
+
+
 class TestBackward:
     def test_identity_gradient(self):
         x = Tensor(np.array([3.0]), requires_grad=True)
@@ -179,6 +266,50 @@ class TestBackward:
             root = T.sum_all(T.add(x, x))
         tape.backward(root)
         np.testing.assert_array_equal(x.grad, [2.0])
+
+    def test_add_same_input_twice_matches_fd(self):
+        # add's pull hands one array to both inputs; the outer add reuses x
+        r = rng()
+        x = Tensor(r.uniform(-1, 1, (3, 4)), requires_grad=True)
+        weight = Tensor(r.uniform(-1, 1, (3, 4)))
+        err = check_gradients(lambda: T.sum_all(T.mul(T.add(T.add(x, x), x), weight)), [x])
+        assert err < 1e-6
+
+    def test_tensor_feeding_two_ops_matches_fd(self):
+        # add runs after mul, so its pull reaches a and b first and mul's then adds into a
+        r = rng()
+        a = Tensor(r.uniform(-1, 1, (3, 4)), requires_grad=True)
+        b = Tensor(r.uniform(-1, 1, (3, 4)), requires_grad=True)
+        c = Tensor(r.uniform(-1, 1, (3, 4)))
+        weight = Tensor(r.uniform(-1, 1, (3, 4)))
+
+        def build():
+            t = T.mul(a, c)
+            s = T.add(a, b)
+            return T.sum_all(T.add(T.mul(s, weight), t))
+
+        err = check_gradients(build, [a, b])
+        assert err < 1e-6
+
+    def test_transposed_view_gradient_matches_fd(self):
+        # conv2d's dX is a transposed view; the stored gradient must be an owned C-ordered copy
+        r = rng()
+        x = Tensor(r.uniform(-1, 1, (2, 3, 4, 5)), requires_grad=True)
+        k = Tensor(r.uniform(-1, 1, (2, 3, 3, 3)), requires_grad=True)
+        wx = Tensor(r.uniform(-1, 1, (2, 3, 4, 5)))
+        wy = Tensor(r.uniform(-1, 1, (2, 2, 4, 5)))
+
+        def build():
+            t = T.sum_all(T.mul(x, wx))
+            return T.add(T.sum_all(T.mul(T.conv2d(x, k), wy)), t)
+
+        err = check_gradients(build, [x, k])
+        assert err < 1e-6
+        with Tape() as tape:
+            root = T.sum_all(T.mul(T.conv2d(x, k), wy))
+        x.grad = None
+        tape.backward(root)
+        assert x.grad.flags["C_CONTIGUOUS"] and x.grad.flags["OWNDATA"]
 
     def test_no_tape_means_no_tracking(self):
         x = Tensor(np.ones((2, 2)), requires_grad=True)
