@@ -117,6 +117,7 @@ def ctc_forward_backward(log_probs: np.ndarray, label: list[int]):
     # positions allowed to skip over the preceding blank (distinct neighbors)
     skip = np.zeros(s_len, dtype=bool)
     skip[2:] = (ext[2:] != BLANK) & (ext[2:] != ext[:-2])
+    idx = np.flatnonzero(skip)
 
     la = np.full((t_len, s_len), NEG_INF)
     la[0, 0] = emit[0, 0]
@@ -126,7 +127,7 @@ def ctc_forward_backward(log_probs: np.ndarray, label: list[int]):
         prev = la[t - 1]
         m = prev.copy()
         m[1:] = np.logaddexp(m[1:], prev[:-1])
-        m[skip] = np.logaddexp(m[skip], prev[np.flatnonzero(skip) - 2])
+        m[idx] = np.logaddexp(m[idx], prev[idx - 2])
         la[t] = m + emit[t]
 
     lb = np.full((t_len, s_len), NEG_INF)
@@ -137,7 +138,6 @@ def ctc_forward_backward(log_probs: np.ndarray, label: list[int]):
         nxt = lb[t + 1]
         m = nxt.copy()
         m[:-1] = np.logaddexp(m[:-1], nxt[1:])
-        idx = np.flatnonzero(skip)
         m[idx - 2] = np.logaddexp(m[idx - 2], nxt[idx])
         lb[t] = m + emit[t]
 

@@ -20,6 +20,7 @@ from .gradcheck import check_gradients
 from .tensor import (
     Tape,
     Tensor,
+    add,
     add_bias,
     batch_norm,
     BatchNormState,
@@ -207,7 +208,7 @@ def run_all(seed: int = 0) -> list[CheckResult]:
 def _pipeline_checks(rng: np.random.Generator) -> list[CheckResult]:
     # imported lazily: backbone/heads sit above this module in the layering
     from .backbone import AttentionModule, Backbone, BackboneConfig, map_to_sequence
-    from .heads import BlstmConfig, ContextBranch, SupervisionBranch
+    from .heads import BlstmConfig, ContextBranch, SupervisionBranch, lstm_scan
 
     checks: list[CheckResult] = []
     cfg = BackboneConfig(stage_channels=(2, 3, 4, 5))
@@ -241,4 +242,21 @@ def _pipeline_checks(rng: np.random.Generator) -> list[CheckResult]:
         max_probe=None,
     )
     checks.append(CheckResult("grad/supervision_branch", err, 1e-5))
+
+    # both scan directions, every input of the fused op, a batch of two
+    seq2 = Tensor(rng.uniform(-1, 1, (4, 2, 3)), requires_grad=True)
+    dirs = []
+    for reverse in (False, True):
+        w_x = Tensor(rng.uniform(-1, 1, (3, 12)), requires_grad=True)
+        w_h = Tensor(rng.uniform(-1, 1, (3, 12)), requires_grad=True)
+        b = Tensor(rng.uniform(-1, 1, (12,)), requires_grad=True)
+        r = Tensor(rng.uniform(-1, 1, (4, 2, 3)))
+        dirs.append((w_x, w_h, b, r, reverse))
+
+    def scans() -> Tensor:
+        fwd, bwd = (sum_all(mul(lstm_scan(seq2, w_x, w_h, b, rev), r)) for w_x, w_h, b, r, rev in dirs)
+        return add(fwd, bwd)
+
+    err = check_gradients(scans, [seq2] + [t for d in dirs for t in d[:3]], max_probe=None)
+    checks.append(CheckResult("grad/lstm_scan", err, 1e-6))
     return checks

@@ -268,16 +268,6 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
     return apply_op(np.concatenate(datas, axis=axis), tuple(tensors), pull)
 
 
-def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    if not tensors:
-        raise ShapeError("stack of empty tensor list")
-
-    def pull(g):
-        return tuple(np.take(g, i, axis=axis) for i in range(len(tensors)))
-
-    return apply_op(np.stack([t.data for t in tensors], axis=axis), tuple(tensors), pull)
-
-
 def getitem(x: Tensor, idx) -> Tensor:
     """Basic slicing (slices/ints only); gradients scatter back into place."""
     if not isinstance(idx, tuple):
@@ -371,7 +361,9 @@ def conv2d(
     if kh > h + pt + pb or kw > wd + pl + pr:
         raise ShapeError("conv2d: kernel larger than padded input")
 
-    xp = np.pad(x.data, ((0, 0), (0, 0), (pt, pb), (pl, pr)))
+    xp = x.data
+    if pt or pb or pl or pr:
+        xp = np.pad(xp, ((0, 0), (0, 0), (pt, pb), (pl, pr)))
     win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::sh, ::sw]
     cols = win.transpose(1, 4, 5, 0, 2, 3).reshape(c * kh * kw, n * ho * wo)
     wmat = w.data.reshape(k, -1)

@@ -4,8 +4,19 @@ import pytest
 from textrec.ctc import ctc_loss
 from textrec.errors import ShapeError
 from textrec.gradcheck import check_gradients
-from textrec.heads import BlstmConfig, ContextBranch, LstmDirection, SupervisionBranch
-from textrec.tensor import Tensor, getitem, sum_all
+from textrec.heads import BlstmConfig, ContextBranch, LstmDirection, SupervisionBranch, lstm_scan
+from textrec.tensor import (
+    Tape,
+    Tensor,
+    add,
+    add_bias,
+    getitem,
+    matmul,
+    mul,
+    sigmoid,
+    sum_all,
+    tanh,
+)
 
 
 def seq_tensor(t, n, f, seed=0, requires_grad=False):
@@ -13,13 +24,30 @@ def seq_tensor(t, n, f, seed=0, requires_grad=False):
     return Tensor(rng.uniform(-1, 1, (t, n, f)), requires_grad=requires_grad)
 
 
+def reference_lstm(seq, w_x, w_h, b, reverse):
+    """The per-step LSTM graph from taped primitives: a list of (N, H) states."""
+    t_len, n, _ = seq.shape
+    h_sz = w_h.shape[0]
+    h = Tensor(np.zeros((n, h_sz)))
+    c = Tensor(np.zeros((n, h_sz)))
+    order = range(t_len - 1, -1, -1) if reverse else range(t_len)
+    outputs = [None] * t_len
+    for t in order:
+        x_t = getitem(seq, t)  # (N, F)
+        z = add_bias(add(matmul(x_t, w_x), matmul(h, w_h)), b)
+        gi = sigmoid(getitem(z, (slice(None), slice(0, h_sz))))
+        gf = sigmoid(getitem(z, (slice(None), slice(h_sz, 2 * h_sz))))
+        gg = tanh(getitem(z, (slice(None), slice(2 * h_sz, 3 * h_sz))))
+        go = sigmoid(getitem(z, (slice(None), slice(3 * h_sz, 4 * h_sz))))
+        c = add(mul(gf, c), mul(gi, gg))
+        h = mul(go, tanh(c))
+        outputs[t] = h
+    return outputs
+
+
 class TestBlstmConfig:
     def test_output_is_twice_hidden(self):
         assert BlstmConfig(hidden_size=32).output_size == 64
-
-    def test_layers_pinned_at_two(self):
-        with pytest.raises(ValueError):
-            BlstmConfig(hidden_size=8, layers=3)
 
 
 class TestLstmDirection:
@@ -29,8 +57,8 @@ class TestLstmDirection:
         cell.w_h.data[:] = 0.0
         cell.bias.data[:] = 0.0
         outs = cell.forward(seq_tensor(6, 2, 5, seed=1))
-        for h in outs:
-            np.testing.assert_array_equal(h.data, 0.0)
+        for t in range(6):
+            np.testing.assert_array_equal(outs.data[t], 0.0)
 
     def test_forget_bias_initialized_to_one(self):
         cell = LstmDirection(np.random.default_rng(0), 5, 4, reverse=False)
@@ -47,11 +75,72 @@ class TestLstmDirection:
     def test_reverse_direction_sees_future(self):
         cell = LstmDirection(np.random.default_rng(2), 3, 4, reverse=True)
         seq = seq_tensor(5, 1, 3, seed=3)
-        base = [h.data.copy() for h in cell.forward(seq)]
+        base = cell.forward(seq).data.copy()
         bumped = Tensor(seq.data.copy())
         bumped.data[4] += 0.5
-        out = [h.data for h in cell.forward(bumped)]
+        out = cell.forward(bumped).data
         assert not np.array_equal(base[0], out[0])  # step 0 depends on step 4
+
+
+class TestLstmScan:
+    @staticmethod
+    def make(t, n, f=5, h=4, reverse=False, seed=0):
+        rng = np.random.default_rng(seed)
+        cell = LstmDirection(rng, f, h, reverse=reverse)
+        cell.bias.data[:] += rng.uniform(-0.5, 0.5, 4 * h)  # exercise every bias entry
+        seq = Tensor(rng.uniform(-1, 1, (t, n, f)), requires_grad=True)
+        upstream = Tensor(rng.uniform(-1, 1, (t, n, h)))
+        return cell, seq, upstream
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("t", [1, 6])
+    def test_matches_per_step_reference(self, t, n, reverse):
+        cell, seq, r = self.make(t, n, reverse=reverse, seed=10 * t + n)
+        leaves = [seq, cell.w_x, cell.w_h, cell.bias]
+
+        with Tape() as tape:
+            steps = reference_lstm(seq, cell.w_x, cell.w_h, cell.bias, reverse)
+            root = sum_all(mul(steps[0], getitem(r, 0)))
+            for i in range(1, t):
+                root = add(root, sum_all(mul(steps[i], getitem(r, i))))
+        tape.backward(root)
+        want_out = np.stack([s.data for s in steps])
+        want_grads = [leaf.grad.copy() for leaf in leaves]
+        for leaf in leaves:
+            leaf.zero_grad()
+
+        with Tape() as tape:
+            out = lstm_scan(seq, cell.w_x, cell.w_h, cell.bias, reverse)
+            root = sum_all(mul(out, r))
+        tape.backward(root)
+        assert len(tape) == 3  # lstm_scan, mul, sum_all
+        np.testing.assert_allclose(out.data, want_out, rtol=0, atol=1e-12)
+        for leaf, want in zip(leaves, want_grads):
+            np.testing.assert_allclose(leaf.grad, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_gradients_match_fd(self, reverse):
+        cell, seq, r = self.make(5, 3, f=4, h=3, reverse=reverse, seed=21)
+        err = check_gradients(
+            lambda: sum_all(mul(lstm_scan(seq, cell.w_x, cell.w_h, cell.bias, reverse), r)),
+            [seq, cell.w_x, cell.w_h, cell.bias],
+        )
+        assert err < 1e-6
+
+    def test_no_input_gradient_when_not_required(self):
+        cell, _, r = self.make(4, 2)
+        seq = seq_tensor(4, 2, 5, seed=3)
+        with Tape() as tape:
+            root = sum_all(mul(cell.forward(seq), r))
+        tape.backward(root)
+        assert seq.grad is None
+        assert cell.w_x.grad is not None and np.any(cell.w_x.grad != 0.0)
+
+    def test_mismatched_weights_rejected(self):
+        cell, seq, _ = self.make(3, 1)
+        with pytest.raises(ShapeError):
+            lstm_scan(seq, cell.w_h, cell.w_h, cell.bias, False)
 
 
 class TestContextBranch:
