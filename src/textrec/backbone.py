@@ -1,10 +1,11 @@
 """Feature extraction: residual backbone, text attention mask, map-to-sequence.
 
 The backbone is a residual network whose overall spatial stride is pinned to 8
-in both axes: a 3x3 stride-1 stem (no maxpool) followed by four residual
-stages with strides (1, 2, 2, 2). The attention module turns the feature
-volume into a single-channel sigmoid mask (3-high by 1-wide convolution), and
-map-to-sequence flattens each width column into one feature vector.
+in both axes: a 3x3 stride-1 stem over one grayscale channel (no maxpool)
+followed by four residual stages with strides (1, 2, 2, 2). The attention
+module turns the feature volume into a single-channel sigmoid mask (3-high by
+1-wide convolution), and map-to-sequence flattens each width column into one
+feature vector.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from .tensor import (
     parameter,
     relu,
     reshape,
-    scale_channels,
     sigmoid,
     transpose,
 )
@@ -39,7 +39,6 @@ class BackboneConfig:
     the 34-layer layout whose final feature depth is 512.
     """
 
-    input_channels: int = 1
     stage_blocks: tuple[int, int, int, int] = (1, 1, 1, 1)
     stage_channels: tuple[int, int, int, int] = (16, 32, 64, 128)
 
@@ -48,20 +47,14 @@ class BackboneConfig:
             raise ValueError("stage_blocks and stage_channels must each have 4 entries")
         if any(b < 1 for b in self.stage_blocks) or any(c < 1 for c in self.stage_channels):
             raise ValueError("stage sizes must be positive")
-        if self.input_channels < 1:
-            raise ValueError("input_channels must be positive")
 
     @property
     def out_channels(self) -> int:
         return self.stage_channels[3]
 
     @classmethod
-    def paper_scale(cls, input_channels: int = 1) -> "BackboneConfig":
-        return cls(
-            input_channels=input_channels,
-            stage_blocks=(3, 4, 6, 3),
-            stage_channels=(64, 128, 256, 512),
-        )
+    def paper_scale(cls) -> "BackboneConfig":
+        return cls(stage_blocks=(3, 4, 6, 3), stage_channels=(64, 128, 256, 512))
 
 
 def _he_conv(rng: np.random.Generator, out_ch: int, in_ch: int, kh: int, kw: int) -> Tensor:
@@ -77,7 +70,7 @@ class Conv2d:
         self.stride = stride
 
     def forward(self, x: Tensor) -> Tensor:
-        return conv2d(x, self.weight, stride=self.stride, padding="same")
+        return conv2d(x, self.weight, stride=self.stride)
 
     def parameters(self) -> dict[str, Tensor]:
         return {"w": self.weight}
@@ -148,7 +141,7 @@ class Backbone:
 
     def __init__(self, config: BackboneConfig, rng: np.random.Generator):
         self.config = config
-        self.stem_conv = Conv2d(rng, config.input_channels, config.stage_channels[0], (3, 3))
+        self.stem_conv = Conv2d(rng, 1, config.stage_channels[0], (3, 3))
         self.stem_bn = BatchNorm2d(config.stage_channels[0])
         self.stages: list[list[BasicBlock]] = []
         in_ch = config.stage_channels[0]
@@ -162,12 +155,12 @@ class Backbone:
             self.stages.append(stage_blocks)
 
     def forward(self, image: Tensor, training: bool) -> Tensor:
-        """Image (N, C, H, W) with H, W multiples of 8 and H >= 32 -> (N, D, H/8, W/8)."""
+        """Grayscale image (N, 1, H, W), H and W multiples of 8, H >= 32 -> (N, D, H/8, W/8)."""
         if image.ndim != 4:
-            raise ShapeError(f"backbone expects (N, C, H, W), got {image.shape}")
+            raise ShapeError(f"backbone expects (N, 1, H, W), got {image.shape}")
         n, c, h, w = image.shape
-        if c != self.config.input_channels:
-            raise ShapeError(f"backbone configured for {self.config.input_channels} channels, got {c}")
+        if c != 1:
+            raise ShapeError(f"backbone expects 1 grayscale channel, got {c}")
         if h % 8 != 0 or w % 8 != 0:
             raise ShapeError(f"input spatial dims must be multiples of 8, got {h}x{w}")
         if h < 32:
@@ -209,15 +202,10 @@ class AttentionModule:
         self.conv_b = parameter(np.zeros(1))
 
     def forward(self, features: Tensor) -> Tensor:
-        return sigmoid(conv2d(features, self.conv_w, self.conv_b, stride=(1, 1), padding="same"))
+        return sigmoid(conv2d(features, self.conv_w, self.conv_b, stride=(1, 1)))
 
     def parameters(self) -> dict[str, Tensor]:
         return {"conv.w": self.conv_w, "conv.b": self.conv_b}
-
-
-def apply_attention(features: Tensor, mask: Tensor) -> Tensor:
-    """Weight every channel of the feature volume by the shared mask."""
-    return scale_channels(features, mask)
 
 
 def map_to_sequence(features: Tensor) -> Tensor:
@@ -231,12 +219,3 @@ def map_to_sequence(features: Tensor) -> Tensor:
     n, d, h, w = features.shape
     cols = transpose(features, (3, 0, 2, 1))  # (W, N, H, D)
     return reshape(cols, (w, n, h * d))
-
-
-def sequence_to_columns(seq: np.ndarray, height: int, depth: int) -> np.ndarray:
-    """Inverse of the map-to-sequence flattening for one sample.
-
-    Takes (W, H*D) vectors back to (D, H, W); useful for round-trip checks.
-    """
-    w = seq.shape[0]
-    return seq.reshape(w, height, depth).transpose(2, 1, 0)

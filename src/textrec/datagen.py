@@ -5,8 +5,8 @@ built-in 5x7 bitmap font (letter glyphs use uppercase letterforms; labels stay
 lowercase), dark ink on a light background, with optional uniform pixel noise
 pulling values toward mid-gray. Rendering is deterministic given (label,
 config, seed), canvases are always 32 pixels tall, and widths are padded up to
-a multiple of 8, which guarantees every label is CTC-feasible at its rendered
-width: each character occupies at least 16 pixels, so W/8 >= 2 * len(label).
+a multiple of 8 and to at least 16 pixels per character, which guarantees
+every label is CTC-feasible at its rendered width: W/8 >= 2 * len(label).
 """
 
 from __future__ import annotations
@@ -76,8 +76,7 @@ class GenConfig:
     """Rendering and sampling knobs for the synthetic task.
 
     The default task draws labels of length 3-5 over the 8-symbol subset
-    {a, b, c, d, e, 1, 2, 3}. ``words``, when set, samples labels from a fixed
-    word list instead of random character concatenation.
+    {a, b, c, d, e, 1, 2, 3}.
     """
 
     charset: str = "abcde123"
@@ -87,7 +86,6 @@ class GenConfig:
     spacing: int = 2
     margin: int = 2
     noise: float = 0.1
-    words: tuple[str, ...] | None = None
 
     def __post_init__(self):
         unknown = [ch for ch in self.charset if ch not in _FONT_ROWS]
@@ -103,21 +101,14 @@ class GenConfig:
             raise DataError("spacing and margin must be non-negative")
         if not 0.0 <= self.noise <= 0.5:
             raise DataError("noise amplitude must be in [0, 0.5]")
-        # every character must span >= 16 px so W/8 >= 2*len holds by construction
+        # a glyph pitch of >= 16 px lets each character's ink fill the 16 px
+        # (two /8 frames) CTC needs; rendered_width adds the spacing the last
+        # character lacks
         if GLYPH_COLS * self.scale + self.spacing < 16:
             raise DataError(
                 "glyph scale and spacing too small for CTC feasibility: "
                 f"need 5*scale + spacing >= 16, got {GLYPH_COLS * self.scale + self.spacing}"
             )
-        if self.words is not None:
-            for w in self.words:
-                if not w:
-                    raise DataError("word list entries must be non-empty")
-                bad = [ch for ch in w if ch not in self.charset]
-                if bad:
-                    raise DataError(f"word {w!r} uses characters outside the charset: {bad}")
-            if len(set(self.words)) != len(self.words):
-                raise DataError("word list entries must be unique")
 
 
 @dataclass
@@ -143,7 +134,8 @@ def rendered_width(label_len: int, config: GenConfig) -> int:
         + (label_len - 1) * config.spacing
         + 2 * config.margin
     )
-    return max(8, 8 * math.ceil(raw / 8))
+    # the last character has no trailing spacing, so floor at 16 px per character
+    return max(16 * label_len, 8 * math.ceil(raw / 8))
 
 
 def render(label: str, config: GenConfig, seed: int) -> Sample:
@@ -173,8 +165,6 @@ def render(label: str, config: GenConfig, seed: int) -> Sample:
 
 
 def _label_space_size(config: GenConfig) -> int:
-    if config.words is not None:
-        return len(config.words)
     a = len(config.charset)
     return sum(a**length for length in range(config.min_len, config.max_len + 1))
 
@@ -186,9 +176,6 @@ def _sample_distinct_labels(config: GenConfig, count: int, rng: np.random.Genera
             f"label space has only {space} distinct strings but {count} are needed; "
             "use longer labels or a larger alphabet"
         )
-    if config.words is not None:
-        picked = rng.choice(len(config.words), size=count, replace=False)
-        return [config.words[i] for i in picked]
     if space <= 1 << 20:
         universe = [
             "".join(combo)

@@ -113,10 +113,10 @@ def _op_gradient_checks(rng: np.random.Generator) -> list[CheckResult]:
 
     xi = Tensor(rng.uniform(-2, 2, (1, 2, 5, 5)), requires_grad=True)
     ki = Tensor(rng.uniform(-1, 1, (3, 2, 3, 1)), requires_grad=True)
-    check("conv2d", lambda: sum_all(conv2d(xi, ki, stride=(1, 1), padding="same")), [xi, ki])
+    check("conv2d", lambda: sum_all(conv2d(xi, ki, stride=(1, 1))), [xi, ki])
     check(
         "conv2d_strided",
-        lambda: sum_all(sigmoid(conv2d(xi, ki, stride=(2, 2), padding="same"))),
+        lambda: sum_all(sigmoid(conv2d(xi, ki, stride=(2, 2)))),
         [xi, ki],
     )
 

@@ -60,9 +60,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def accumulate_grad(self, g: np.ndarray) -> None:
         if g.shape != self.data.shape:
             raise ShapeError(f"gradient shape {g.shape} != tensor shape {self.data.shape}")
@@ -158,11 +155,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return apply_op(a.data + b.data, (a, b), lambda g: (g, g))
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    _require_same_shape(a, b, "sub")
-    return apply_op(a.data - b.data, (a, b), lambda g: (g, -g))
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _require_same_shape(a, b, "mul")
     return apply_op(a.data * b.data, (a, b), lambda g: (g * b.data, g * a.data))
@@ -202,13 +194,10 @@ def sigmoid(x: Tensor) -> Tensor:
 
 
 def _sigmoid_raw(v: np.ndarray) -> np.ndarray:
-    # split by sign for overflow-free exp; clip keeps outputs strictly in (0,1)
-    out = np.empty_like(v)
-    pos = v >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
-    ev = np.exp(v[~pos])
-    out[~pos] = ev / (1.0 + ev)
-    return np.clip(out, _SIG_LO, _SIG_HI)
+    # e = exp(-|v|) never overflows: 1/(1+e) for v >= 0, e/(1+e) below;
+    # clip keeps outputs strictly in (0,1)
+    e = np.exp(-np.abs(v))
+    return np.clip(np.where(v >= 0, 1.0, e) / (1.0 + e), _SIG_LO, _SIG_HI)
 
 
 def tanh(x: Tensor) -> Tensor:
@@ -234,10 +223,6 @@ def softmax_rows(x: Tensor) -> Tensor:
 def sum_all(x: Tensor) -> Tensor:
     shape = x.data.shape
     return apply_op(np.asarray(x.data.sum()), (x,), lambda g: (np.broadcast_to(g, shape).copy(),))
-
-
-def mean_all(x: Tensor) -> Tensor:
-    return scale(sum_all(x), 1.0 / x.size)
 
 
 # ---------------------------------------------------------------------------
@@ -320,12 +305,11 @@ def conv2d(
     w: Tensor,
     b: Tensor | None = None,
     stride: tuple[int, int] = (1, 1),
-    padding: str = "same",
 ) -> Tensor:
     """Strided 2-D cross-correlation of NCHW input with KCkhkw kernels.
 
-    ``same`` padding is symmetric with the extra pixel on the bottom/right;
-    output spatial size is ceil(extent / stride).
+    Padding is "same": symmetric with the extra pixel on the bottom/right, and
+    the output spatial size is ceil(extent / stride).
 
     All three products are single 2-D GEMMs over one channel-major column
     matrix ``cols`` of shape (C·kh·kw, N·Ho·Wo), built from a strided
@@ -348,18 +332,8 @@ def conv2d(
     if b is not None and b.shape != (k,):
         raise ShapeError(f"conv2d: bias shape {b.shape} != ({k},)")
 
-    if padding == "same":
-        ho, pt, pb = _same_pad(h, kh, sh)
-        wo, pl, pr = _same_pad(wd, kw, sw)
-    elif padding == "valid":
-        if kh > h or kw > wd:
-            raise ShapeError("conv2d: kernel larger than input under valid padding")
-        ho, pt, pb = (h - kh) // sh + 1, 0, 0
-        wo, pl, pr = (wd - kw) // sw + 1, 0, 0
-    else:
-        raise ValueError(f"unknown padding {padding!r}")
-    if kh > h + pt + pb or kw > wd + pl + pr:
-        raise ShapeError("conv2d: kernel larger than padded input")
+    ho, pt, pb = _same_pad(h, kh, sh)
+    wo, pl, pr = _same_pad(wd, kw, sw)
 
     xp = x.data
     if pt or pb or pl or pr:
@@ -414,11 +388,11 @@ def scale_channels(x: Tensor, m: Tensor) -> Tensor:
 class BatchNormState:
     """Running statistics owned by a normalization layer (not differentiated)."""
 
-    def __init__(self, channels: int, momentum: float = 0.1, eps: float = 1e-5):
+    def __init__(self, channels: int):
         self.running_mean = np.zeros(channels)
         self.running_var = np.ones(channels)
-        self.momentum = float(momentum)
-        self.eps = float(eps)
+        self.momentum = 0.1
+        self.eps = 1e-5
 
 
 def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState, training: bool) -> Tensor:
@@ -453,13 +427,15 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState, tr
     def pull(g):
         dgamma = (g * xhat).sum(axis=axes)
         dbeta = g.sum(axis=axes)
-        dxhat = g * gamma.data[None, :, None, None]
-        if training:
-            s1 = dxhat.sum(axis=axes, keepdims=True)
-            s2 = (dxhat * xhat).sum(axis=axes, keepdims=True)
-            dx = (inv[None, :, None, None] / count) * (count * dxhat - s1 - xhat * s2)
-        else:
-            dx = dxhat * inv[None, :, None, None]
+        gain = (gamma.data * inv)[None, :, None, None]
+        if not training:
+            return gain * g, dgamma, dbeta
+        # the batch sums of dxhat = γ·g are γ·dβ and γ·dγ, so γ factors out:
+        # dx = γ·inv·(g - (dβ + xhat·dγ) / count)
+        dx = xhat * (dgamma / count)[None, :, None, None]
+        dx += (dbeta / count)[None, :, None, None]
+        np.subtract(g, dx, out=dx)
+        dx *= gain
         return dx, dgamma, dbeta
 
     return apply_op(out, (x, gamma, beta), pull)

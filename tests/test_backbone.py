@@ -5,13 +5,17 @@ from textrec.backbone import (
     AttentionModule,
     Backbone,
     BackboneConfig,
-    apply_attention,
     map_to_sequence,
-    sequence_to_columns,
 )
 from textrec.errors import ShapeError
 from textrec.gradcheck import check_gradients
 from textrec.tensor import Tensor, scale_channels, sum_all, tanh
+
+
+def sequence_to_columns(seq: np.ndarray, height: int, depth: int) -> np.ndarray:
+    """Inverse of the map-to-sequence flattening for one sample: (W, H*D) -> (D, H, W)."""
+    w = seq.shape[0]
+    return seq.reshape(w, height, depth).transpose(2, 1, 0)
 
 
 def make_backbone(channels=(2, 3, 4, 5), seed=0):
@@ -63,6 +67,11 @@ class TestExtractFeatures:
             bb.forward(Tensor(np.zeros((1, 1, 32, 33))), training=False)
         with pytest.raises(ShapeError):
             bb.forward(Tensor(np.zeros((1, 1, 36, 32))), training=False)
+
+    def test_non_grayscale_input_rejected(self):
+        _, bb = make_backbone()
+        with pytest.raises(ShapeError):
+            bb.forward(Tensor(np.zeros((1, 3, 32, 32))), training=False)
 
     def test_height_below_32_rejected(self):
         _, bb = make_backbone()
@@ -120,22 +129,24 @@ class TestAttention:
 
 
 class TestApplyAttention:
+    """The mask is applied by ``scale_channels``: every channel times the shared mask."""
+
     def test_identity_mask(self):
         feats = Tensor(np.random.default_rng(0).normal(size=(1, 3, 2, 4)))
         mask = Tensor(np.ones((1, 1, 2, 4)))
-        np.testing.assert_array_equal(apply_attention(feats, mask).data, feats.data)
+        np.testing.assert_array_equal(scale_channels(feats, mask).data, feats.data)
 
     def test_uniform_half_mask_scales(self):
         feats = Tensor(np.random.default_rng(1).normal(size=(1, 3, 2, 4)))
         mask = Tensor(np.full((1, 1, 2, 4), 0.5))
-        np.testing.assert_allclose(apply_attention(feats, mask).data, feats.data * 0.5, rtol=0)
+        np.testing.assert_allclose(scale_channels(feats, mask).data, feats.data * 0.5, rtol=0)
 
     def test_masking_one_position_zeroes_exactly_that_fiber(self):
         rng = np.random.default_rng(2)
         feats = rng.normal(size=(1, 3, 4, 5)) + 1.0
         mask = np.full((1, 1, 4, 5), 0.7)
         mask[0, 0, 2, 3] = 0.0
-        out = apply_attention(Tensor(feats), Tensor(mask)).data
+        out = scale_channels(Tensor(feats), Tensor(mask)).data
         assert np.all(out[0, :, 2, 3] == 0.0)
         untouched = np.ones((4, 5), dtype=bool)
         untouched[2, 3] = False
@@ -143,7 +154,7 @@ class TestApplyAttention:
 
     def test_spatial_mismatch_rejected(self):
         with pytest.raises(ShapeError):
-            apply_attention(Tensor(np.zeros((1, 3, 4, 5))), Tensor(np.zeros((1, 1, 4, 4))))
+            scale_channels(Tensor(np.zeros((1, 3, 4, 5))), Tensor(np.zeros((1, 1, 4, 4))))
 
 
 class TestMapToSequence:

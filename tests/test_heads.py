@@ -108,7 +108,7 @@ class TestLstmScan:
         want_out = np.stack([s.data for s in steps])
         want_grads = [leaf.grad.copy() for leaf in leaves]
         for leaf in leaves:
-            leaf.zero_grad()
+            leaf.grad = None
 
         with Tape() as tape:
             out = lstm_scan(seq, cell.w_x, cell.w_h, cell.bias, reverse)
