@@ -21,10 +21,12 @@ from .tensor import (
     add,
     batch_norm,
     conv2d,
+    conv2d_cnhw,
     parameter,
     relu,
     reshape,
     sigmoid,
+    tracking,
     transpose,
 )
 
@@ -89,6 +91,18 @@ class BatchNorm2d:
         return {"gamma": self.gamma, "beta": self.beta}
 
 
+def _folded(conv: Conv2d, bn: BatchNorm2d, x: np.ndarray, residual=None, relu=False) -> np.ndarray:
+    """``bn.forward(conv.forward(x), training=False)`` as one channel-major conv, with no tape.
+
+    In eval mode BN is the fixed per-channel map y·a + (β - μ·a) with
+    a = γ/√(σ² + ε), so it folds into the conv: ``conv2d_cnhw`` applies it to
+    each chunk's GEMM output, then adds ``residual`` and applies ReLU.
+    """
+    st = bn.state
+    a = bn.gamma.data / np.sqrt(st.running_var + st.eps)
+    return conv2d_cnhw(x, conv.weight.data, conv.stride, a, bn.beta.data - st.running_mean * a, residual, relu)
+
+
 class BasicBlock:
     """conv-norm-relu, conv-norm, shortcut add, relu.
 
@@ -109,6 +123,13 @@ class BasicBlock:
             self.proj_bn = None
 
     def forward(self, x: Tensor, training: bool) -> Tensor:
+        if not training and not tracking((x, *self.parameters().values())):
+            # channel-major views in and out cost no copy, so blocks chain freely
+            xc = x.data.transpose(1, 0, 2, 3)
+            y = _folded(self.conv1, self.bn1, xc, relu=True)
+            shortcut = xc if self.proj is None else _folded(self.proj, self.proj_bn, xc)
+            out = _folded(self.conv2, self.bn2, y, residual=shortcut, relu=True)
+            return Tensor(out.transpose(1, 0, 2, 3))
         y = relu(self.bn1.forward(self.conv1.forward(x), training))
         y = self.bn2.forward(self.conv2.forward(y), training)
         if self.proj is not None:
@@ -165,7 +186,11 @@ class Backbone:
             raise ShapeError(f"input spatial dims must be multiples of 8, got {h}x{w}")
         if h < 32:
             raise ShapeError(f"input height must be at least 32, got {h}")
-        x = relu(self.stem_bn.forward(self.stem_conv.forward(image), training))
+        if not training and not tracking((image, self.stem_conv.weight, self.stem_bn.gamma, self.stem_bn.beta)):
+            stem = _folded(self.stem_conv, self.stem_bn, image.data.transpose(1, 0, 2, 3), relu=True)
+            x = Tensor(stem.transpose(1, 0, 2, 3))
+        else:
+            x = relu(self.stem_bn.forward(self.stem_conv.forward(image), training))
         for stage_blocks in self.stages:
             for block in stage_blocks:
                 x = block.forward(x, training)

@@ -101,14 +101,6 @@ class GenConfig:
             raise DataError("spacing and margin must be non-negative")
         if not 0.0 <= self.noise <= 0.5:
             raise DataError("noise amplitude must be in [0, 0.5]")
-        # a glyph pitch of >= 16 px lets each character's ink fill the 16 px
-        # (two /8 frames) CTC needs; rendered_width adds the spacing the last
-        # character lacks
-        if GLYPH_COLS * self.scale + self.spacing < 16:
-            raise DataError(
-                "glyph scale and spacing too small for CTC feasibility: "
-                f"need 5*scale + spacing >= 16, got {GLYPH_COLS * self.scale + self.spacing}"
-            )
 
 
 @dataclass

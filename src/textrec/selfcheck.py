@@ -259,4 +259,23 @@ def _pipeline_checks(rng: np.random.Generator) -> list[CheckResult]:
 
     err = check_gradients(scans, [seq2] + [t for d in dirs for t in d[:3]], max_probe=None)
     checks.append(CheckResult("grad/lstm_scan", err, 1e-6))
+
+    # eval-mode BN folded into the convs (no tape) against the separate ops (taped),
+    # at the toy size with one strip's running statistics and random affine
+    # parameters; one narrow strip keeps the benchmark's memory baseline
+    toy = Backbone(BackboneConfig(), rng)
+    for st in toy.norm_states().values():
+        st.momentum = 1.0
+    toy.forward(Tensor(rng.uniform(0, 1, (1, 1, 32, 16))), training=True)
+    for name, p in toy.parameters().items():
+        if name.endswith(".gamma"):
+            p.data[:] = rng.uniform(0.5, 1.5, p.shape)
+        elif name.endswith(".beta"):
+            p.data[:] = rng.uniform(-0.5, 0.5, p.shape)
+    strip = Tensor(rng.uniform(0, 1, (1, 1, 32, 16)))
+    folded = toy.forward(strip, training=False).data
+    with Tape():
+        unfolded = toy.forward(strip, training=False).data
+    err = float(np.max(np.abs(folded - unfolded)) / np.max(np.abs(unfolded)))
+    checks.append(CheckResult("eval/bn_fold", err, 1e-12))
     return checks

@@ -131,13 +131,17 @@ class Tape:
                 t.grad = None
 
 
+def tracking(inputs: Sequence[Tensor]) -> bool:
+    """Whether an op over ``inputs`` is recorded: a tape is active and some input requires grad."""
+    return active_tape() is not None and any(t.requires_grad for t in inputs)
+
+
 def apply_op(out_data: np.ndarray, inputs: Sequence[Tensor], pull: Callable) -> Tensor:
     """Create an op output and record it on the active tape if appropriate."""
-    tape = active_tape()
-    track = tape is not None and any(t.requires_grad for t in inputs)
+    track = tracking(inputs)
     out = Tensor(out_data, requires_grad=track)
     if track:
-        tape.record(out, tuple(inputs), pull)
+        active_tape().record(out, tuple(inputs), pull)
     return out
 
 
@@ -178,8 +182,9 @@ def add_bias(x: Tensor, b: Tensor) -> Tensor:
 
 
 def relu(x: Tensor) -> Tensor:
-    mask = x.data > 0.0
-    return apply_op(np.where(mask, x.data, 0.0), (x,), lambda g: (g * mask,))
+    # the output is its own mask: y > 0 exactly where x > 0 (NaN propagates)
+    y = np.maximum(x.data, 0.0)
+    return apply_op(y, (x,), lambda g: (g * (y > 0.0),))
 
 
 # smallest/largest doubles inside the open interval (0, 1); sigmoid output is
@@ -300,6 +305,80 @@ def _same_pad(extent: int, k: int, stride: int) -> tuple[int, int, int]:
     return out, lo, total - lo  # odd padding puts the extra pixel low/right
 
 
+# The untracked conv's scratch (one chunk's columns) holds at most this many
+# elements (32 MiB) unless one sample needs more: a full-batch block (about
+# 100 MiB at paper scale) would raise peak memory, not reuse it.
+_COLS_CHUNK = 1 << 22
+
+
+def _scratch(size: int) -> np.ndarray:
+    """This thread's reusable conv scratch buffer, grown to hold ``size`` elements."""
+    buf = getattr(_LOCAL, "scratch", None)
+    if buf is None or buf.size < size:
+        buf = np.empty(size)
+        _LOCAL.scratch = buf
+    return buf[:size]
+
+
+def _windows(x: np.ndarray, kh: int, kw: int, sh: int, sw: int) -> np.ndarray:
+    """(C, kh, kw, N, Ho, Wo) strided view of the kernel windows of channel-major
+    (C, N, H, W) ``x``, same-padded."""
+    _, pt, pb = _same_pad(x.shape[2], kh, sh)
+    _, pl, pr = _same_pad(x.shape[3], kw, sw)
+    if pt or pb or pl or pr:
+        x = np.pad(x, ((0, 0), (0, 0), (pt, pb), (pl, pr)))
+    win = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))[:, :, ::sh, ::sw]
+    return win.transpose(0, 4, 5, 1, 2, 3)
+
+
+def conv2d_cnhw(
+    x: np.ndarray,
+    w: np.ndarray,
+    stride: tuple[int, int] = (1, 1),
+    scale: np.ndarray | None = None,
+    shift: np.ndarray | None = None,
+    residual: np.ndarray | None = None,
+    relu: bool = False,
+) -> np.ndarray:
+    """Same-padded conv of a channel-major (C, N, H, W) array, with no tape.
+
+    Returns a fresh (K, N, Ho, Wo) array: the conv output times ``scale``
+    plus ``shift`` (per output channel), plus ``residual``, then ReLU'd if
+    ``relu``; each step is skipped when not given. The batch runs in chunks
+    of whole samples whose columns fill one reused per-thread buffer of at
+    most ``_COLS_CHUNK`` elements (or one sample's). Channel-major output is
+    what the GEMM writes, so each chunk's ``W @ cols`` lands straight in its
+    column block of the output, and the rest of the chain runs in place on
+    that block. One GEMM per chunk rather than one per sample keeps the deep
+    stages, whose samples have few output pixels, GEMM-bound.
+    """
+    c, n, h, wd = x.shape
+    k, _, kh, kw = w.shape
+    sh, sw = stride
+    ho, wo = _same_pad(h, kh, sh)[0], _same_pad(wd, kw, sw)[0]
+    wmat = w.reshape(k, -1)
+    hw = ho * wo
+    out = np.empty((k, n, ho, wo))
+    flat = out.reshape(k, n * hw)
+    step = max(1, _COLS_CHUNK // (wmat.shape[1] * hw))
+    for s in range(0, n, step):
+        e = min(s + step, n)
+        win = _windows(x[:, s:e], kh, kw, sh, sw)
+        cols = _scratch(win.size).reshape(win.shape)
+        np.copyto(cols, win)
+        y = flat[:, s * hw : e * hw]
+        np.matmul(wmat, cols.reshape(wmat.shape[1], -1), out=y)
+        if scale is not None:
+            y *= scale[:, None]
+        if shift is not None:
+            y += shift[:, None]
+        if residual is not None:
+            out[:, s:e] += residual[:, s:e]
+        if relu:
+            np.maximum(y, 0.0, out=y)
+    return out
+
+
 def conv2d(
     x: Tensor,
     w: Tensor,
@@ -319,6 +398,10 @@ def conv2d(
     and kh·kw outermost makes the im2col copy and the col2im adds run over
     contiguous (N, Ho, Wo) blocks, which row-major (N·Ho·Wo, C·kh·kw) columns
     do not. dX is skipped when ``x`` does not require a gradient.
+
+    When no tape records the op, nothing is kept for a backward pass: it runs
+    as ``conv2d_cnhw`` on the channel-major view of ``x`` and returns the NCHW
+    view of its output, which never aliases the reused buffer.
     """
     if x.ndim != 4 or w.ndim != 4:
         raise ShapeError(f"conv2d expects 4-D input and kernel, got {x.shape}, {w.shape}")
@@ -332,20 +415,21 @@ def conv2d(
     if b is not None and b.shape != (k,):
         raise ShapeError(f"conv2d: bias shape {b.shape} != ({k},)")
 
+    inputs = (x, w) if b is None else (x, w, b)
+    xc = x.data.transpose(1, 0, 2, 3)
+    if not tracking(inputs):
+        out = conv2d_cnhw(xc, w.data, (sh, sw), shift=None if b is None else b.data)
+        return Tensor(out.transpose(1, 0, 2, 3))
+
     ho, pt, pb = _same_pad(h, kh, sh)
     wo, pl, pr = _same_pad(wd, kw, sw)
-
-    xp = x.data
-    if pt or pb or pl or pr:
-        xp = np.pad(xp, ((0, 0), (0, 0), (pt, pb), (pl, pr)))
-    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::sh, ::sw]
-    cols = win.transpose(1, 4, 5, 0, 2, 3).reshape(c * kh * kw, n * ho * wo)
     wmat = w.data.reshape(k, -1)
+    cols = _windows(xc, kh, kw, sh, sw).reshape(c * kh * kw, n * ho * wo)
     out = wmat @ cols
     if b is not None:
         out += b.data[:, None]
     out = np.ascontiguousarray(out.reshape(k, n, ho, wo).transpose(1, 0, 2, 3))
-    hp, wp = xp.shape[2:]
+    hp, wp = h + pt + pb, wd + pl + pr
 
     def pull(g):
         g2 = g.transpose(1, 0, 2, 3).reshape(k, -1)
@@ -363,7 +447,6 @@ def conv2d(
             return dx, dw, db
         return dx, dw
 
-    inputs = (x, w) if b is None else (x, w, b)
     return apply_op(out, inputs, pull)
 
 

@@ -9,7 +9,7 @@ from textrec.backbone import (
 )
 from textrec.errors import ShapeError
 from textrec.gradcheck import check_gradients
-from textrec.tensor import Tensor, scale_channels, sum_all, tanh
+from textrec.tensor import Tape, Tensor, scale_channels, sum_all, tanh
 
 
 def sequence_to_columns(seq: np.ndarray, height: int, depth: int) -> np.ndarray:
@@ -91,6 +91,57 @@ class TestExtractFeatures:
         bb = Backbone(cfg, np.random.default_rng(0))
         feats = bb.forward(Tensor(np.zeros((1, 1, 32, 32))), training=False)
         assert feats.shape == (1, 512, 4, 4)
+
+
+class TestBnFold:
+    @staticmethod
+    def calibrated(seed=0):
+        """Toy backbone with running statistics from one batch and random affine BN parameters."""
+        r = np.random.default_rng(seed)
+        bb = Backbone(BackboneConfig(), r)
+        for st in bb.norm_states().values():
+            st.momentum = 1.0
+        bb.forward(Tensor(r.uniform(0, 1, (4, 1, 32, 48))), training=True)
+        for name, p in bb.parameters().items():
+            if name.endswith(".gamma"):
+                p.data[:] = r.uniform(0.5, 1.5, p.shape)
+            elif name.endswith(".beta"):
+                p.data[:] = r.uniform(-0.5, 0.5, p.shape)
+        return bb, r
+
+    def test_folded_eval_matches_taped_eval(self):
+        bb, r = self.calibrated()
+        image = Tensor(r.uniform(0, 1, (3, 1, 32, 40)))
+        folded = bb.forward(image, training=False)
+        with Tape() as tape:
+            ref = bb.forward(image, training=False)
+        assert not folded.requires_grad and len(tape) > 0
+        gap = np.max(np.abs(folded.data - ref.data)) / np.max(np.abs(ref.data))
+        assert gap <= 1e-12
+
+    def test_block_eval_matches_taped_block(self):
+        # block by block on NCHW tensors, as a per-layer trace runs them:
+        # stage0's block has the identity shortcut, the others a projection
+        bb, r = self.calibrated(seed=2)
+        x = Tensor(r.uniform(0, 2, (2, 16, 32, 24)))
+        for block in [blocks[0] for blocks in bb.stages]:
+            free = block.forward(x, training=False)
+            with Tape():
+                ref = block.forward(x, training=False)
+            assert not free.requires_grad and ref.requires_grad
+            assert np.max(np.abs(free.data - ref.data)) / np.max(np.abs(ref.data)) <= 1e-12
+            x = Tensor(ref.data)
+
+    def test_taped_eval_keeps_bn_gradients_and_running_stats(self):
+        bb, r = self.calibrated(seed=1)
+        stats = {k: (s.running_mean.copy(), s.running_var.copy()) for k, s in bb.norm_states().items()}
+        with Tape() as tape:
+            root = sum_all(tanh(bb.forward(Tensor(r.uniform(0, 1, (2, 1, 32, 32))), training=False)))
+        tape.backward(root)
+        for name, p in bb.parameters().items():
+            assert p.grad is not None and np.any(p.grad != 0.0), name
+        for k, s in bb.norm_states().items():
+            assert np.array_equal(s.running_mean, stats[k][0]) and np.array_equal(s.running_var, stats[k][1])
 
 
 class TestAttention:

@@ -70,6 +70,24 @@ class TestElementwise:
         tape.backward(root)
         np.testing.assert_array_equal(x.grad, [2.0, 4.0, 6.0])
 
+    def test_relu_matches_masked_form_and_propagates_nan(self):
+        # any length: the SIMD body and the scalar tail of np.maximum both see -0.0
+        edges = np.array([-0.0, 0.0, -1.0, 2.0, np.inf, -np.inf, np.finfo(np.float64).smallest_subnormal])
+        for v in [edges, np.full(37, -0.0), rng().normal(0.0, 1.0, 10_001)]:
+            y = T.relu(Tensor(v)).data
+            want = np.where(v > 0.0, v, 0.0)
+            assert np.array_equal(y, want) and not np.signbit(y).any()
+        nan = T.relu(Tensor(np.array([np.nan, -1.0, 1.0]))).data
+        assert np.isnan(nan[0]) and nan[1] == 0.0 and nan[2] == 1.0
+
+    def test_relu_gradient_passes_only_positive_inputs(self):
+        x = Tensor(np.array([-1.0, -0.0, 0.0, 0.5, 3.0]), requires_grad=True)
+        w = Tensor(np.array([2.0, 3.0, 4.0, 5.0, 6.0]))
+        with Tape() as tape:
+            root = T.sum_all(T.mul(T.relu(x), w))
+        tape.backward(root)
+        np.testing.assert_array_equal(x.grad, [0.0, 0.0, 0.0, 5.0, 6.0])
+
 
 class TestSoftmax:
     def test_uniform_logits(self):
@@ -192,6 +210,14 @@ CONV_GRID = [
 ]
 
 
+SAME_GRID = [p for p in CONV_GRID if p.values[2] == "same"]
+
+
+def rel_gap(got, want):
+    """max |got - want| relative to max |want|."""
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
 class TestConv2dGrid:
     @staticmethod
     def operands(kernel, bias):
@@ -230,6 +256,42 @@ class TestConv2dGrid:
             lambda: T.sum_all(T.mul(T.conv2d(x, w, b, stride=stride), weight)), leaves
         )
         assert err < 1e-6
+
+    @pytest.mark.parametrize("kernel,stride,padding,bias", SAME_GRID)
+    def test_untracked_matches_tracked(self, kernel, stride, padding, bias):
+        _, x, w, b = self.operands(kernel, bias)
+        free = T.conv2d(x, w, b, stride=stride)
+        with Tape():
+            taped = T.conv2d(x, w, b, stride=stride)
+        assert taped.requires_grad and not free.requires_grad
+        assert rel_gap(free.data, taped.data) <= 1e-12
+
+    @pytest.mark.parametrize("per_chunk", [1, 2, 3, 5])
+    def test_untracked_chunks_match_tracked(self, monkeypatch, per_chunk):
+        # N = 5 in chunks of 1, 2+2+1, 3+2 and one chunk of all five
+        r = rng()
+        x = Tensor(r.uniform(-2, 2, (5, 2, 5, 7)), requires_grad=True)
+        w = Tensor(r.uniform(-1, 1, (3, 2, 3, 3)), requires_grad=True)
+        b = Tensor(r.uniform(-1, 1, (3,)), requires_grad=True)
+        with Tape():
+            taped = T.conv2d(x, w, b, stride=(2, 1))
+        sample_scratch = 2 * 3 * 3 * 3 * 7  # one sample's columns: C·kh·kw·Ho·Wo
+        monkeypatch.setattr(T, "_COLS_CHUNK", per_chunk * sample_scratch)
+        chunks = []
+        scratch = T._scratch
+        monkeypatch.setattr(T, "_scratch", lambda size: chunks.append(size) or scratch(size))
+        free = T.conv2d(x, w, b, stride=(2, 1))
+        assert len(chunks) == -(-5 // per_chunk)
+        assert rel_gap(free.data, taped.data) <= 1e-12
+
+    def test_untracked_output_survives_the_next_call(self):
+        r = rng()
+        w = Tensor(r.uniform(-1, 1, (3, 2, 3, 3)))
+        first = T.conv2d(Tensor(r.uniform(-2, 2, (2, 2, 5, 7))), w)
+        kept = first.data.copy()
+        T.conv2d(Tensor(r.uniform(-2, 2, (2, 2, 5, 7))), w)  # same shapes: same scratch
+        np.testing.assert_array_equal(first.data, kept)
+        assert not np.shares_memory(first.data, T._scratch(1).base)
 
     def test_input_without_grad_gets_none_and_weights_match_fd(self):
         r = rng()
