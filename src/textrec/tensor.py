@@ -305,18 +305,27 @@ def _same_pad(extent: int, k: int, stride: int) -> tuple[int, int, int]:
     return out, lo, total - lo  # odd padding puts the extra pixel low/right
 
 
-# The untracked conv's scratch (one chunk's columns) holds at most this many
-# elements (32 MiB) unless one sample needs more: a full-batch block (about
-# 100 MiB at paper scale) would raise peak memory, not reuse it.
+# One chunk's columns hold at most this many elements (32 MiB) unless one
+# sample needs more: a full-batch block (about 100 MiB at paper scale) would
+# raise peak memory, not reuse it.
 _COLS_CHUNK = 1 << 22
 
 
-def _scratch(size: int) -> np.ndarray:
-    """This thread's reusable conv scratch buffer, grown to hold ``size`` elements."""
-    buf = getattr(_LOCAL, "scratch", None)
+def _scratch(size: int, slot: str = "cols") -> np.ndarray:
+    """This thread's reusable conv buffer ``slot``, grown to hold ``size`` elements.
+
+    Slot ``cols`` holds one chunk's im2col columns, in the forward and again
+    in a taped conv's backward, where it then holds the chunk's column
+    gradient. Slot ``col2im`` holds a taped conv's padded input gradient.
+    Both live as long as the thread, so the training and eval paths stop
+    allocating, and page-faulting, their largest temporaries per call.
+    Whatever a caller gets back is overwritten by the next call for the same
+    slot, so no op returns a view of it that outlives one tape pull.
+    """
+    buf = getattr(_LOCAL, slot, None)
     if buf is None or buf.size < size:
         buf = np.empty(size)
-        _LOCAL.scratch = buf
+        setattr(_LOCAL, slot, buf)
     return buf[:size]
 
 
@@ -329,6 +338,22 @@ def _windows(x: np.ndarray, kh: int, kw: int, sh: int, sw: int) -> np.ndarray:
         x = np.pad(x, ((0, 0), (0, 0), (pt, pb), (pl, pr)))
     win = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))[:, :, ::sh, ::sw]
     return win.transpose(0, 4, 5, 1, 2, 3)
+
+
+def _column_chunks(x: np.ndarray, kh: int, kw: int, sh: int, sw: int):
+    """Yield ``(s, e, cols)`` over whole-sample chunks of channel-major ``x``:
+    ``cols`` is the (C, kh, kw, e - s, Ho, Wo) im2col of samples ``s:e``,
+    copied into the ``cols`` scratch, at most ``_COLS_CHUNK`` elements (or
+    one sample's)."""
+    c, n, h, wd = x.shape
+    sample = c * kh * kw * _same_pad(h, kh, sh)[0] * _same_pad(wd, kw, sw)[0]
+    step = max(1, _COLS_CHUNK // sample)
+    for s in range(0, n, step):
+        e = min(s + step, n)
+        win = _windows(x[:, s:e], kh, kw, sh, sw)
+        cols = _scratch(win.size).reshape(win.shape)
+        np.copyto(cols, win)
+        yield s, e, cols
 
 
 def conv2d_cnhw(
@@ -344,28 +369,21 @@ def conv2d_cnhw(
 
     Returns a fresh (K, N, Ho, Wo) array: the conv output times ``scale``
     plus ``shift`` (per output channel), plus ``residual``, then ReLU'd if
-    ``relu``; each step is skipped when not given. The batch runs in chunks
-    of whole samples whose columns fill one reused per-thread buffer of at
-    most ``_COLS_CHUNK`` elements (or one sample's). Channel-major output is
-    what the GEMM writes, so each chunk's ``W @ cols`` lands straight in its
+    ``relu``; each step is skipped when not given. The batch runs in the
+    whole-sample chunks of ``_column_chunks``. Channel-major output is what
+    the GEMM writes, so each chunk's ``W @ cols`` lands straight in its
     column block of the output, and the rest of the chain runs in place on
     that block. One GEMM per chunk rather than one per sample keeps the deep
     stages, whose samples have few output pixels, GEMM-bound.
     """
-    c, n, h, wd = x.shape
     k, _, kh, kw = w.shape
     sh, sw = stride
-    ho, wo = _same_pad(h, kh, sh)[0], _same_pad(wd, kw, sw)[0]
+    ho, wo = _same_pad(x.shape[2], kh, sh)[0], _same_pad(x.shape[3], kw, sw)[0]
     wmat = w.reshape(k, -1)
     hw = ho * wo
-    out = np.empty((k, n, ho, wo))
-    flat = out.reshape(k, n * hw)
-    step = max(1, _COLS_CHUNK // (wmat.shape[1] * hw))
-    for s in range(0, n, step):
-        e = min(s + step, n)
-        win = _windows(x[:, s:e], kh, kw, sh, sw)
-        cols = _scratch(win.size).reshape(win.shape)
-        np.copyto(cols, win)
+    out = np.empty((k, x.shape[1], ho, wo))
+    flat = out.reshape(k, -1)
+    for s, e, cols in _column_chunks(x, kh, kw, sh, sw):
         y = flat[:, s * hw : e * hw]
         np.matmul(wmat, cols.reshape(wmat.shape[1], -1), out=y)
         if scale is not None:
@@ -390,18 +408,28 @@ def conv2d(
     Padding is "same": symmetric with the extra pixel on the bottom/right, and
     the output spatial size is ceil(extent / stride).
 
-    All three products are single 2-D GEMMs over one channel-major column
-    matrix ``cols`` of shape (C·kh·kw, N·Ho·Wo), built from a strided
-    ``sliding_window_view`` of the padded input: the output is
-    ``W(K, C·kh·kw) @ cols``, dW is ``g(K, N·Ho·Wo) @ cols.T`` and dX is
-    ``W.T @ g`` folded back by col2im into a (C, N, H, W) buffer. Keeping C
-    and kh·kw outermost makes the im2col copy and the col2im adds run over
-    contiguous (N, Ho, Wo) blocks, which row-major (N·Ho·Wo, C·kh·kw) columns
-    do not. dX is skipped when ``x`` does not require a gradient.
+    Every product is a 2-D GEMM over channel-major columns ``cols`` of shape
+    (C·kh·kw, N·Ho·Wo), copied from a strided ``sliding_window_view`` of the
+    padded input. Keeping C and kh·kw outermost makes the im2col copy and the
+    col2im adds run over contiguous (N, Ho, Wo) blocks, which row-major
+    (N·Ho·Wo, C·kh·kw) columns do not.
 
-    When no tape records the op, nothing is kept for a backward pass: it runs
-    as ``conv2d_cnhw`` on the channel-major view of ``x`` and returns the NCHW
-    view of its output, which never aliases the reused buffer.
+    The forward is ``conv2d_cnhw`` on the channel-major view of ``x``, taped
+    or not, and the result is the NCHW view of its output. A tape keeps only
+    the input and the weights, not the columns (9× the input for a 3×3
+    kernel). The backward walks the batch in the forward's chunks and
+    rebuilds each chunk's columns in the reused ``cols`` scratch: dW
+    accumulates ``g @ cols.T``, and, when ``x`` requires a gradient,
+    ``W.T @ g`` overwrites the columns and col2im adds it into the reused
+    ``col2im`` buffer, zeroed once per call. This trades one extra im2col per
+    conv for the stored columns (recompute-for-memory, Chen et al.,
+    arXiv:1604.06174). Two invariants make it sound:
+
+    - a taped input is not mutated before backward, as ``mul`` and
+      ``matmul`` also assume, so the rebuilt columns equal the forward's;
+    - the dX a pull returns is a view of the ``col2im`` buffer, so it is
+      consumed before the next pull runs: ``Tape.backward`` copies or adds
+      each returned gradient into the input's own ``grad`` at once.
     """
     if x.ndim != 4 or w.ndim != 4:
         raise ShapeError(f"conv2d expects 4-D input and kernel, got {x.shape}, {w.shape}")
@@ -415,37 +443,35 @@ def conv2d(
     if b is not None and b.shape != (k,):
         raise ShapeError(f"conv2d: bias shape {b.shape} != ({k},)")
 
-    inputs = (x, w) if b is None else (x, w, b)
     xc = x.data.transpose(1, 0, 2, 3)
+    out = conv2d_cnhw(xc, w.data, (sh, sw), shift=None if b is None else b.data).transpose(1, 0, 2, 3)
+    inputs = (x, w) if b is None else (x, w, b)
     if not tracking(inputs):
-        out = conv2d_cnhw(xc, w.data, (sh, sw), shift=None if b is None else b.data)
-        return Tensor(out.transpose(1, 0, 2, 3))
-
+        return Tensor(out)
     ho, pt, pb = _same_pad(h, kh, sh)
     wo, pl, pr = _same_pad(wd, kw, sw)
-    wmat = w.data.reshape(k, -1)
-    cols = _windows(xc, kh, kw, sh, sw).reshape(c * kh * kw, n * ho * wo)
-    out = wmat @ cols
-    if b is not None:
-        out += b.data[:, None]
-    out = np.ascontiguousarray(out.reshape(k, n, ho, wo).transpose(1, 0, 2, 3))
     hp, wp = h + pt + pb, wd + pl + pr
+    wmat = w.data.reshape(k, -1)
 
     def pull(g):
-        g2 = g.transpose(1, 0, 2, 3).reshape(k, -1)
-        dw = (g2 @ cols.T).reshape(w.shape)
-        db = g.sum(axis=(0, 2, 3)) if b is not None else None
-        dx = None
+        gc = g.transpose(1, 0, 2, 3)
+        dw = np.zeros_like(wmat)
         if x.requires_grad:
-            dcols = (wmat.T @ g2).reshape(c, kh, kw, n, ho, wo)
-            dxp = np.zeros((c, n, hp, wp))
-            for i in range(kh):
-                for j in range(kw):
-                    dxp[:, :, i : i + sh * ho : sh, j : j + sw * wo : sw] += dcols[:, i, j]
-            dx = dxp[:, :, pt : pt + h, pl : pl + wd].transpose(1, 0, 2, 3)
+            dxp = _scratch(c * n * hp * wp, "col2im").reshape(c, n, hp, wp)
+            dxp.fill(0.0)
+        for s, e, cols in _column_chunks(xc, kh, kw, sh, sw):
+            g2 = gc[:, s:e].reshape(k, -1)
+            cmat = cols.reshape(wmat.shape[1], -1)
+            dw += g2 @ cmat.T
+            if x.requires_grad:
+                np.matmul(wmat.T, g2, out=cmat)  # the chunk's column gradient
+                for i in range(kh):
+                    for j in range(kw):
+                        dxp[:, s:e, i : i + sh * ho : sh, j : j + sw * wo : sw] += cols[:, i, j]
+        dx = dxp[:, :, pt : pt + h, pl : pl + wd].transpose(1, 0, 2, 3) if x.requires_grad else None
         if b is not None:
-            return dx, dw, db
-        return dx, dw
+            return dx, dw.reshape(w.shape), g.sum(axis=(0, 2, 3))
+        return dx, dw.reshape(w.shape)
 
     return apply_op(out, inputs, pull)
 

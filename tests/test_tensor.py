@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -283,6 +285,100 @@ class TestConv2dGrid:
         free = T.conv2d(x, w, b, stride=(2, 1))
         assert len(chunks) == -(-5 // per_chunk)
         assert rel_gap(free.data, taped.data) <= 1e-12
+
+    @staticmethod
+    def taped_results(x, w, b, stride):
+        """Output, dW, db and dX of one taped conv under a fixed random upstream gradient."""
+        for t in (x, w, b):
+            t.grad = None
+        with Tape() as tape:
+            y = T.conv2d(x, w, b, stride=stride)
+            weight = Tensor(np.random.default_rng(7).uniform(-1, 1, y.shape))
+            root = T.sum_all(T.mul(y, weight))
+        tape.backward(root)
+        return y.data.copy(), w.grad.copy(), b.grad.copy(), x.grad.copy()
+
+    @pytest.mark.parametrize("per_chunk", [1, 2, 3, 5])
+    @pytest.mark.parametrize(
+        "kernel,stride", [((3, 3), (1, 1)), ((3, 3), (2, 2)), ((1, 1), (2, 2))], ids=["k3s1", "k3s2", "k1s2"]
+    )
+    def test_tracked_chunks_match_one_chunk(self, monkeypatch, kernel, stride, per_chunk):
+        # N = 5 in chunks of 1, 2+2+1, 3+2 and one chunk of all five, forward and backward
+        r = rng()
+        x = Tensor(r.uniform(-2, 2, (5, 2, 5, 7)), requires_grad=True)
+        w = Tensor(r.uniform(-1, 1, (3, 2) + kernel), requires_grad=True)
+        b = Tensor(r.uniform(-1, 1, (3,)), requires_grad=True)
+        whole = self.taped_results(x, w, b, stride)
+        ho, wo = -(-5 // stride[0]), -(-7 // stride[1])
+        monkeypatch.setattr(T, "_COLS_CHUNK", per_chunk * 2 * kernel[0] * kernel[1] * ho * wo)
+        slots = []
+        scratch = T._scratch
+        monkeypatch.setattr(T, "_scratch", lambda size, slot="cols": slots.append(slot) or scratch(size, slot))
+        chunked = self.taped_results(x, w, b, stride)
+        assert slots.count("cols") == 2 * -(-5 // per_chunk)  # forward and backward
+        assert slots.count("col2im") == 1
+        for got, want in zip(chunked, whole):
+            assert rel_gap(got, want) <= 1e-12
+
+    def test_chunked_backward_matches_fd(self, monkeypatch):
+        r = rng()
+        x = Tensor(r.uniform(-2, 2, (5, 2, 5, 7)), requires_grad=True)
+        w = Tensor(r.uniform(-1, 1, (3, 2, 3, 3)), requires_grad=True)
+        b = Tensor(r.uniform(-1, 1, (3,)), requires_grad=True)
+        weight = Tensor(r.uniform(-1, 1, (5, 3, 3, 7)))
+        monkeypatch.setattr(T, "_COLS_CHUNK", 2 * 2 * 3 * 3 * 3 * 7)  # chunks of 2+2+1 samples
+        err = check_gradients(lambda: T.sum_all(T.mul(T.conv2d(x, w, b, stride=(2, 1)), weight)), [x, w, b])
+        assert err < 1e-6
+
+    def test_reused_col2im_buffer_never_leaks(self):
+        # x feeds a product and two taped convs; the convs' pulls run first, so x's
+        # gradient starts as a copy of a col2im view and the other pull reuses that buffer
+        r = rng()
+        x = Tensor(r.uniform(-2, 2, (2, 2, 5, 7)), requires_grad=True)
+        w1 = Tensor(r.uniform(-1, 1, (3, 2, 3, 3)), requires_grad=True)
+        w2 = Tensor(r.uniform(-1, 1, (3, 2, 1, 1)), requires_grad=True)
+        wx = Tensor(r.uniform(-1, 1, (2, 2, 5, 7)))
+        wy = Tensor(r.uniform(-1, 1, (2, 3, 5, 7)))
+
+        def build():
+            t = T.sum_all(T.mul(x, wx))
+            y = T.add(T.conv2d(x, w1), T.conv2d(x, w2))
+            return T.add(T.sum_all(T.mul(y, wy)), t)
+
+        assert check_gradients(build, [x, w1, w2]) < 1e-6
+        with Tape() as tape:
+            root = build()
+        for t in (x, w1, w2):
+            t.grad = None
+        tape.backward(root)
+        assert x.grad.flags["OWNDATA"] and x.grad.flags["C_CONTIGUOUS"]
+        assert not np.shares_memory(x.grad, T._scratch(1, "col2im").base)
+        kept = [t.grad.copy() for t in (x, w1, w2)]
+        other = Tensor(r.uniform(-2, 2, (2, 2, 5, 7)), requires_grad=True)
+        w3 = Tensor(r.uniform(-1, 1, (3, 2, 3, 3)), requires_grad=True)
+        with Tape() as tape:
+            root = T.sum_all(T.conv2d(other, w3))
+        tape.backward(root)  # same shapes: the same col2im buffer, rewritten
+        for t, want in zip((x, w1, w2), kept):
+            np.testing.assert_array_equal(t.grad, want)
+
+    def test_taped_forward_keeps_no_columns(self):
+        # the tape holds the input and weights it already references, not 9x-the-input columns
+        r = rng()
+        x = Tensor(r.uniform(-1, 1, (4, 16, 32, 88)), requires_grad=True)
+        w = Tensor(r.uniform(-1, 1, (16, 16, 3, 3)), requires_grad=True)
+        with Tape():
+            T.conv2d(x, w)  # grows the reused scratch before measuring
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            with Tape() as tape:
+                y = T.conv2d(x, w)
+            held = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert len(tape) == 1
+        assert held < 2 * y.data.nbytes
 
     def test_untracked_output_survives_the_next_call(self):
         r = rng()
