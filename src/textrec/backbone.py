@@ -18,7 +18,10 @@ from .errors import ShapeError
 from .tensor import (
     BatchNormState,
     Tensor,
-    add,
+    _bn_backward,
+    _bn_normalize,
+    _conv_backward,
+    apply_op,
     batch_norm,
     conv2d,
     conv2d_cnhw,
@@ -130,13 +133,79 @@ class BasicBlock:
             shortcut = xc if self.proj is None else _folded(self.proj, self.proj_bn, xc)
             out = _folded(self.conv2, self.bn2, y, residual=shortcut, relu=True)
             return Tensor(out.transpose(1, 0, 2, 3))
-        y = relu(self.bn1.forward(self.conv1.forward(x), training))
-        y = self.bn2.forward(self.conv2.forward(y), training)
-        if self.proj is not None:
-            shortcut = self.proj_bn.forward(self.proj.forward(x), training)
+        return self._op(x, training)
+
+    def _op(self, x: Tensor, training: bool) -> Tensor:
+        """The block as one taped op over the channel-major view of ``x``.
+
+        Each conv is ``conv2d_cnhw``, and ``_bn_normalize`` turns its output
+        into x̂ in place: batch statistics in training, running ones in taped
+        eval, with the running estimates updated as ``batch_norm`` updates
+        them. γ, β, the shortcut add and the ReLUs then run in place on the
+        inner activation and the output. The tape keeps each BN's x̂, the
+        inner ReLU output and the block output, 4× the output (5× with a
+        projection); the input is alive anyway (the memory argument of
+        In-Place ABN, Rota Bulò et al., arXiv:1712.02616).
+
+        The backward is hand-written: output ReLU mask → BN2 → conv2 → inner
+        ReLU mask → BN1 → conv1, then the identity shortcut, or the
+        projection BN and 1×1 conv. Every gradient is handed over as a
+        channel-major (K, N·Ho·Wo) matrix, and each conv's dX view of the
+        ``col2im`` scratch is consumed before the next conv backward runs.
+        """
+        xc = x.data.transpose(1, 0, 2, 3)
+
+        def conv_norm(src: np.ndarray, conv: Conv2d, bn: BatchNorm2d) -> tuple[np.ndarray, np.ndarray]:
+            xhat = conv2d_cnhw(src, conv.weight.data, conv.stride)
+            return xhat, _bn_normalize(xhat, bn.state, training)
+
+        def affine(xhat: np.ndarray, bn: BatchNorm2d) -> np.ndarray:
+            y = xhat * bn.gamma.data[:, None, None, None]
+            y += bn.beta.data[:, None, None, None]
+            return y
+
+        xhat1, inv1 = conv_norm(xc, self.conv1, self.bn1)
+        inner = affine(xhat1, self.bn1)
+        np.maximum(inner, 0.0, out=inner)
+        xhat2, inv2 = conv_norm(inner, self.conv2, self.bn2)
+        out = affine(xhat2, self.bn2)
+        if self.proj is None:
+            out += xc
         else:
-            shortcut = x
-        return relu(add(y, shortcut))
+            xhatp, invp = conv_norm(xc, self.proj, self.proj_bn)
+            out += affine(xhatp, self.proj_bn)
+        np.maximum(out, 0.0, out=out)
+        k = out.shape[0]
+
+        def bn_back(g: np.ndarray, xhat: np.ndarray, bn: BatchNorm2d, inv: np.ndarray):
+            dy, dgamma, dbeta = _bn_backward(g.reshape(k, -1), xhat.reshape(k, -1), bn.gamma.data, inv, training)
+            return dy.reshape(xhat.shape), dgamma, dbeta
+
+        def pull(g):
+            gout = np.empty_like(out)
+            np.multiply(g.transpose(1, 0, 2, 3), out > 0.0, out=gout)
+            dy2, dgamma2, dbeta2 = bn_back(gout, xhat2, self.bn2, inv2)
+            dw2, dinner = _conv_backward(inner, self.conv2.weight.data, self.conv2.stride, dy2, True)
+            dy1 = np.multiply(dinner, inner > 0.0, out=np.empty_like(inner))
+            dy1, dgamma1, dbeta1 = bn_back(dy1, xhat1, self.bn1, inv1)
+            dw1, dx = _conv_backward(xc, self.conv1.weight.data, self.conv1.stride, dy1, x.requires_grad)
+            grads = [dw1, dgamma1, dbeta1, dw2, dgamma2, dbeta2]
+            if self.proj is None:
+                if dx is not None:
+                    gout += dx
+                    dx = gout
+            else:
+                if dx is not None:
+                    dx = dx.copy()
+                dyp, dgammap, dbetap = bn_back(gout, xhatp, self.proj_bn, invp)
+                dwp, dxp = _conv_backward(xc, self.proj.weight.data, self.proj.stride, dyp, x.requires_grad)
+                if dx is not None:
+                    dx += dxp
+                grads += [dwp, dgammap, dbetap]
+            return (None if dx is None else dx.transpose(1, 0, 2, 3), *grads)
+
+        # parameters() lists each conv's weight, then its BN's γ and β: the order of the gradients
+        return apply_op(out.transpose(1, 0, 2, 3), (x, *self.parameters().values()), pull)
 
     def parameters(self) -> dict[str, Tensor]:
         out = {}

@@ -110,14 +110,17 @@ def lstm_scan(seq: Tensor, w_x: Tensor, w_h: Tensor, b: Tensor, reverse: bool) -
         partner = np.concatenate([g_g, c_prev, i_g, tcell], axis=2) * deriv
         dc_dh = o_g * (1.0 - tcell * tcell)
         dz = np.empty_like(gates)
+        # (T, N, 4, H) views: dc broadcasts over the first three gate blocks
+        partner4 = partner.reshape(t_len, n, 4, h_sz)
+        dz4 = dz.reshape(t_len, n, 4, h_sz)
         w_ht = w_h.data.T
         dh_rec = np.zeros((n, h_sz))
         dc_rec = np.zeros((n, h_sz))
         for t in reversed(order):
             dh = g[t] + dh_rec
             dc = dh * dc_dh[t] + dc_rec
-            np.multiply(np.tile(dc, 3), partner[t, :, : 3 * h_sz], out=dz[t, :, : 3 * h_sz])
-            np.multiply(dh, partner[t, :, 3 * h_sz :], out=dz[t, :, 3 * h_sz :])
+            np.multiply(dc[:, None], partner4[t, :, :3], out=dz4[t, :, :3])
+            np.multiply(dh, partner4[t, :, 3], out=dz4[t, :, 3])
             dc_rec = dc * f_g[t]
             dh_rec = dz[t] @ w_ht
         dz2 = dz.reshape(t_len * n, 4 * h_sz)

@@ -207,7 +207,7 @@ def run_all(seed: int = 0) -> list[CheckResult]:
 
 def _pipeline_checks(rng: np.random.Generator) -> list[CheckResult]:
     # imported lazily: backbone/heads sit above this module in the layering
-    from .backbone import AttentionModule, Backbone, BackboneConfig, map_to_sequence
+    from .backbone import AttentionModule, Backbone, BackboneConfig, BasicBlock, map_to_sequence
     from .heads import BlstmConfig, ContextBranch, SupervisionBranch, lstm_scan
 
     checks: list[CheckResult] = []
@@ -260,22 +260,48 @@ def _pipeline_checks(rng: np.random.Generator) -> list[CheckResult]:
     err = check_gradients(scans, [seq2] + [t for d in dirs for t in d[:3]], max_probe=None)
     checks.append(CheckResult("grad/lstm_scan", err, 1e-6))
 
-    # eval-mode BN folded into the convs (no tape) against the separate ops (taped),
+    # eval-mode BN folded into the convs (no tape) against the taped block op,
     # at the toy size with one strip's running statistics and random affine
     # parameters; one narrow strip keeps the benchmark's memory baseline
     toy = Backbone(BackboneConfig(), rng)
     for st in toy.norm_states().values():
         st.momentum = 1.0
     toy.forward(Tensor(rng.uniform(0, 1, (1, 1, 32, 16))), training=True)
-    for name, p in toy.parameters().items():
-        if name.endswith(".gamma"):
-            p.data[:] = rng.uniform(0.5, 1.5, p.shape)
-        elif name.endswith(".beta"):
-            p.data[:] = rng.uniform(-0.5, 0.5, p.shape)
+    _random_affine(toy, rng)
     strip = Tensor(rng.uniform(0, 1, (1, 1, 32, 16)))
     folded = toy.forward(strip, training=False).data
     with Tape():
         unfolded = toy.forward(strip, training=False).data
     err = float(np.max(np.abs(folded - unfolded)) / np.max(np.abs(unfolded)))
     checks.append(CheckResult("eval/bn_fold", err, 1e-12))
+
+    # the residual block op, FD over its input and every parameter: both
+    # shortcut kinds, batch statistics and taped eval, a batch of two
+    worst = 0.0
+    for in_ch, out_ch, stride in ((3, 3, 1), (3, 4, 2)):
+        block = BasicBlock(rng, in_ch, out_ch, stride)
+        _random_affine(block, rng)
+        for st in block.norm_states().values():
+            st.running_mean[:] = rng.uniform(-0.5, 0.5, st.running_mean.shape)
+            st.running_var[:] = rng.uniform(0.5, 2.0, st.running_var.shape)
+        xk = Tensor(rng.uniform(-2, 2, (2, in_ch, 4, 6)), requires_grad=True)
+        rk = Tensor(rng.uniform(-1, 1, (2, out_ch, 4 // stride, 6 // stride)))
+        for training in (True, False):
+            err = check_gradients(
+                lambda: sum_all(mul(block.forward(xk, training), rk)),
+                [xk, *block.parameters().values()],
+                max_probe=32,
+                rng=rng,
+            )
+            worst = max(worst, err)
+    checks.append(CheckResult("grad/basic_block", worst, 1e-5))
     return checks
+
+
+def _random_affine(layer, rng: np.random.Generator) -> None:
+    """Draw every BN γ in [0.5, 1.5] and β in [-0.5, 0.5], so no check runs at the identity init."""
+    for name, p in layer.parameters().items():
+        if name.endswith(".gamma"):
+            p.data[:] = rng.uniform(0.5, 1.5, p.shape)
+        elif name.endswith(".beta"):
+            p.data[:] = rng.uniform(-0.5, 0.5, p.shape)

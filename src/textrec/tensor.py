@@ -320,7 +320,9 @@ def _scratch(size: int, slot: str = "cols") -> np.ndarray:
     Both live as long as the thread, so the training and eval paths stop
     allocating, and page-faulting, their largest temporaries per call.
     Whatever a caller gets back is overwritten by the next call for the same
-    slot, so no op returns a view of it that outlives one tape pull.
+    slot, so no op returns a view of it that outlives one tape pull, and a
+    dX view of ``col2im`` is consumed before the next conv backward runs,
+    even within one pull.
     """
     buf = getattr(_LOCAL, slot, None)
     if buf is None or buf.size < size:
@@ -397,6 +399,44 @@ def conv2d_cnhw(
     return out
 
 
+def _conv_backward(
+    x: np.ndarray, w: np.ndarray, stride: tuple[int, int], g: np.ndarray, need_dx: bool
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """dW, and dX if ``need_dx``, of ``conv2d_cnhw(x, w, stride)`` for its output gradient ``g``.
+
+    ``x`` and ``g`` are channel-major, (C, N, H, W) and (K, N, Ho, Wo); a
+    contiguous ``g`` hands each chunk's (K, n·Ho·Wo) block over as a view.
+    The batch runs in the forward's chunks, and each chunk's columns are
+    rebuilt in the reused ``cols`` scratch: dW accumulates ``g @ cols.T``,
+    and, when dX is needed, ``W.T @ g`` overwrites the columns and col2im
+    adds it into the reused ``col2im`` buffer, zeroed once per call. dX is a
+    (C, N, H, W) view of that buffer, so it must be consumed (copied, added
+    or multiplied into another array) before the next conv backward runs.
+    """
+    c, n, h, wd = x.shape
+    k, _, kh, kw = w.shape
+    sh, sw = stride
+    ho, pt, pb = _same_pad(h, kh, sh)
+    wo, pl, pr = _same_pad(wd, kw, sw)
+    wmat = w.reshape(k, -1)
+    dw = np.zeros_like(wmat)
+    if need_dx:
+        hp, wp = h + pt + pb, wd + pl + pr
+        dxp = _scratch(c * n * hp * wp, "col2im").reshape(c, n, hp, wp)
+        dxp.fill(0.0)
+    for s, e, cols in _column_chunks(x, kh, kw, sh, sw):
+        g2 = g[:, s:e].reshape(k, -1)
+        cmat = cols.reshape(wmat.shape[1], -1)
+        dw += g2 @ cmat.T
+        if need_dx:
+            np.matmul(wmat.T, g2, out=cmat)  # the chunk's column gradient
+            for i in range(kh):
+                for j in range(kw):
+                    dxp[:, s:e, i : i + sh * ho : sh, j : j + sw * wo : sw] += cols[:, i, j]
+    dx = dxp[:, :, pt : pt + h, pl : pl + wd] if need_dx else None
+    return dw.reshape(w.shape), dx
+
+
 def conv2d(
     x: Tensor,
     w: Tensor,
@@ -417,61 +457,40 @@ def conv2d(
     The forward is ``conv2d_cnhw`` on the channel-major view of ``x``, taped
     or not, and the result is the NCHW view of its output. A tape keeps only
     the input and the weights, not the columns (9× the input for a 3×3
-    kernel). The backward walks the batch in the forward's chunks and
-    rebuilds each chunk's columns in the reused ``cols`` scratch: dW
-    accumulates ``g @ cols.T``, and, when ``x`` requires a gradient,
-    ``W.T @ g`` overwrites the columns and col2im adds it into the reused
-    ``col2im`` buffer, zeroed once per call. This trades one extra im2col per
-    conv for the stored columns (recompute-for-memory, Chen et al.,
+    kernel). The pull is ``_conv_backward``, which rebuilds each chunk's
+    columns in the reused ``cols`` scratch, trading one extra im2col per conv
+    for the stored columns (recompute-for-memory, Chen et al.,
     arXiv:1604.06174). Two invariants make it sound:
 
     - a taped input is not mutated before backward, as ``mul`` and
       ``matmul`` also assume, so the rebuilt columns equal the forward's;
-    - the dX a pull returns is a view of the ``col2im`` buffer, so it is
-      consumed before the next pull runs: ``Tape.backward`` copies or adds
-      each returned gradient into the input's own ``grad`` at once.
+    - every dX view of the ``col2im`` buffer is consumed before the next
+      conv backward runs, in this pull or in any other op's (the residual
+      block's pull runs several): here ``Tape.backward`` copies or adds the
+      returned gradient into the input's own ``grad`` at once.
     """
     if x.ndim != 4 or w.ndim != 4:
         raise ShapeError(f"conv2d expects 4-D input and kernel, got {x.shape}, {w.shape}")
-    n, c, h, wd = x.shape
-    k, ck, kh, kw = w.shape
+    c = x.shape[1]
+    k, ck = w.shape[:2]
     if ck != c:
         raise ShapeError(f"conv2d: input has {c} channels but kernel expects {ck}")
-    sh, sw = int(stride[0]), int(stride[1])
-    if sh < 1 or sw < 1:
+    stride = (int(stride[0]), int(stride[1]))
+    if stride[0] < 1 or stride[1] < 1:
         raise ShapeError("conv2d: stride components must be >= 1")
     if b is not None and b.shape != (k,):
         raise ShapeError(f"conv2d: bias shape {b.shape} != ({k},)")
 
     xc = x.data.transpose(1, 0, 2, 3)
-    out = conv2d_cnhw(xc, w.data, (sh, sw), shift=None if b is None else b.data).transpose(1, 0, 2, 3)
+    out = conv2d_cnhw(xc, w.data, stride, shift=None if b is None else b.data).transpose(1, 0, 2, 3)
     inputs = (x, w) if b is None else (x, w, b)
-    if not tracking(inputs):
-        return Tensor(out)
-    ho, pt, pb = _same_pad(h, kh, sh)
-    wo, pl, pr = _same_pad(wd, kw, sw)
-    hp, wp = h + pt + pb, wd + pl + pr
-    wmat = w.data.reshape(k, -1)
 
     def pull(g):
-        gc = g.transpose(1, 0, 2, 3)
-        dw = np.zeros_like(wmat)
-        if x.requires_grad:
-            dxp = _scratch(c * n * hp * wp, "col2im").reshape(c, n, hp, wp)
-            dxp.fill(0.0)
-        for s, e, cols in _column_chunks(xc, kh, kw, sh, sw):
-            g2 = gc[:, s:e].reshape(k, -1)
-            cmat = cols.reshape(wmat.shape[1], -1)
-            dw += g2 @ cmat.T
-            if x.requires_grad:
-                np.matmul(wmat.T, g2, out=cmat)  # the chunk's column gradient
-                for i in range(kh):
-                    for j in range(kw):
-                        dxp[:, s:e, i : i + sh * ho : sh, j : j + sw * wo : sw] += cols[:, i, j]
-        dx = dxp[:, :, pt : pt + h, pl : pl + wd].transpose(1, 0, 2, 3) if x.requires_grad else None
+        dw, dx = _conv_backward(xc, w.data, stride, g.transpose(1, 0, 2, 3), x.requires_grad)
+        dx = None if dx is None else dx.transpose(1, 0, 2, 3)
         if b is not None:
-            return dx, dw.reshape(w.shape), g.sum(axis=(0, 2, 3))
-        return dx, dw.reshape(w.shape)
+            return dx, dw, g.sum(axis=(0, 2, 3))
+        return dx, dw
 
     return apply_op(out, inputs, pull)
 
@@ -504,47 +523,73 @@ class BatchNormState:
         self.eps = 1e-5
 
 
+def _bn_normalize(y: np.ndarray, state: BatchNormState, training: bool) -> np.ndarray:
+    """Overwrite C-contiguous, channel-major ``y`` (C, ...) with its normalization x̂.
+
+    Training mode normalizes by the batch statistics over every axis but the
+    first and moves the running estimates toward them; evaluation mode uses
+    the frozen running statistics. Returns 1/√(σ² + ε) per channel.
+    """
+    y2 = y.reshape(y.shape[0], -1)
+    if training:
+        m = y2.mean(axis=1)
+        y2 -= m[:, None]
+        v = np.einsum("ij,ij->i", y2, y2) / y2.shape[1]
+        mom = state.momentum
+        state.running_mean += mom * (m - state.running_mean)
+        state.running_var += mom * (v - state.running_var)
+    else:
+        y2 -= state.running_mean[:, None]
+        v = state.running_var
+    inv = 1.0 / np.sqrt(v + state.eps)
+    y2 *= inv[:, None]
+    return inv
+
+
+def _bn_backward(
+    g: np.ndarray, xhat: np.ndarray, gamma: np.ndarray, inv: np.ndarray, training: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """dX (a fresh (C, M) array), dγ and dβ of γ·x̂ + β for output gradient ``g``.
+
+    ``g`` and ``xhat`` are channel-major (C, M) matrices, and ``inv`` is what
+    ``_bn_normalize`` returned.
+    """
+    dgamma = np.einsum("ij,ij->i", g, xhat)
+    dbeta = g.sum(axis=1)
+    gain = (gamma * inv)[:, None]
+    if not training:
+        return g * gain, dgamma, dbeta
+    # the batch sums of dxhat = γ·g are γ·dβ and γ·dγ, so γ factors out:
+    # dx = γ·inv·(g - (dβ + xhat·dγ) / count)
+    count = g.shape[1]
+    dx = xhat * (dgamma / count)[:, None]
+    dx += (dbeta / count)[:, None]
+    np.subtract(g, dx, out=dx)
+    dx *= gain
+    return dx, dgamma, dbeta
+
+
 def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState, training: bool) -> Tensor:
     """Per-channel normalization of NCHW input with affine scale/shift.
 
     Training mode normalizes by batch statistics over (N, H, W) and updates the
     running estimates in place; evaluation mode uses the frozen running stats.
+    The work runs channel-major in ``_bn_normalize`` and ``_bn_backward``, and
+    the result is the NCHW view of a (C, N, H, W) array.
     """
     if x.ndim != 4:
         raise ShapeError(f"batch_norm expects NCHW input, got {x.shape}")
     c = x.shape[1]
     if gamma.shape != (c,) or beta.shape != (c,):
         raise ShapeError("batch_norm: gamma/beta shape mismatch")
-    axes = (0, 2, 3)
-    eps = state.eps
-
-    if training:
-        m = x.data.mean(axis=axes)
-        v = x.data.var(axis=axes)
-        mom = state.momentum
-        state.running_mean += mom * (m - state.running_mean)
-        state.running_var += mom * (v - state.running_var)
-    else:
-        m = state.running_mean
-        v = state.running_var
-
-    inv = 1.0 / np.sqrt(v + eps)
-    xhat = (x.data - m[None, :, None, None]) * inv[None, :, None, None]
-    out = gamma.data[None, :, None, None] * xhat + beta.data[None, :, None, None]
-    count = x.shape[0] * x.shape[2] * x.shape[3]
+    xhat = x.data.transpose(1, 0, 2, 3).copy()
+    inv = _bn_normalize(xhat, state, training)
+    out = xhat * gamma.data[:, None, None, None]
+    out += beta.data[:, None, None, None]
 
     def pull(g):
-        dgamma = (g * xhat).sum(axis=axes)
-        dbeta = g.sum(axis=axes)
-        gain = (gamma.data * inv)[None, :, None, None]
-        if not training:
-            return gain * g, dgamma, dbeta
-        # the batch sums of dxhat = γ·g are γ·dβ and γ·dγ, so γ factors out:
-        # dx = γ·inv·(g - (dβ + xhat·dγ) / count)
-        dx = xhat * (dgamma / count)[None, :, None, None]
-        dx += (dbeta / count)[None, :, None, None]
-        np.subtract(g, dx, out=dx)
-        dx *= gain
-        return dx, dgamma, dbeta
+        g2 = g.transpose(1, 0, 2, 3).reshape(c, -1)
+        dx, dgamma, dbeta = _bn_backward(g2, xhat.reshape(c, -1), gamma.data, inv, training)
+        return dx.reshape(xhat.shape).transpose(1, 0, 2, 3), dgamma, dbeta
 
-    return apply_op(out, (x, gamma, beta), pull)
+    return apply_op(out.transpose(1, 0, 2, 3), (x, gamma, beta), pull)

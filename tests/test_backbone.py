@@ -1,15 +1,34 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import textrec.tensor as T
 from textrec.backbone import (
     AttentionModule,
     Backbone,
     BackboneConfig,
+    BasicBlock,
     map_to_sequence,
 )
 from textrec.errors import ShapeError
 from textrec.gradcheck import check_gradients
-from textrec.tensor import Tape, Tensor, scale_channels, sum_all, tanh
+from textrec.tensor import Tape, Tensor, add, mul, relu, scale_channels, sum_all, tanh
+
+
+def reference_block(block: BasicBlock, x: Tensor, training: bool) -> Tensor:
+    """The residual block as the chain of separate NCHW taped ops it replaces."""
+    y = relu(block.bn1.forward(block.conv1.forward(x), training))
+    y = block.bn2.forward(block.conv2.forward(y), training)
+    if block.proj is None:
+        shortcut = x
+    else:
+        shortcut = block.proj_bn.forward(block.proj.forward(x), training)
+    return relu(add(y, shortcut))
+
+
+def rel_gap(got: np.ndarray, want: np.ndarray) -> float:
+    return float(np.max(np.abs(got - want)) / max(np.max(np.abs(want)), np.finfo(float).tiny))
 
 
 def sequence_to_columns(seq: np.ndarray, height: int, depth: int) -> np.ndarray:
@@ -91,6 +110,109 @@ class TestExtractFeatures:
         bb = Backbone(cfg, np.random.default_rng(0))
         feats = bb.forward(Tensor(np.zeros((1, 1, 32, 32))), training=False)
         assert feats.shape == (1, 512, 4, 4)
+
+
+def random_block(in_ch, out_ch, stride, seed=0):
+    """A block with random affine BN parameters and running statistics."""
+    r = np.random.default_rng(seed)
+    block = BasicBlock(r, in_ch, out_ch, stride)
+    for name, p in block.parameters().items():
+        if name.endswith(".gamma"):
+            p.data[:] = r.uniform(0.5, 1.5, p.shape)
+        elif name.endswith(".beta"):
+            p.data[:] = r.uniform(-0.5, 0.5, p.shape)
+    for st in block.norm_states().values():
+        st.running_mean[:] = r.uniform(-0.5, 0.5, st.running_mean.shape)
+        st.running_var[:] = r.uniform(0.5, 2.0, st.running_var.shape)
+    return block
+
+
+def taped_block_results(forward, block, x, training, weight):
+    """Output, running statistics, and the gradients of x and every parameter."""
+    params = block.parameters()
+    for t in (x, *params.values()):
+        t.grad = None
+    with Tape() as tape:
+        y = forward(block, x, training)
+        root = sum_all(mul(y, weight))
+    tape.backward(root)
+    stats = [a.copy() for st in block.norm_states().values() for a in (st.running_mean, st.running_var)]
+    return [y.data.copy(), *stats, x.grad.copy(), *(p.grad.copy() for p in params.values())], len(tape)
+
+
+# (in, out, stride): the identity shortcut, then a projection for channels, stride or both
+BLOCK_SHAPES = [(4, 4, 1), (3, 5, 1), (4, 4, 2), (3, 5, 2)]
+BLOCK_IDS = ["identity", "proj_ch", "proj_s2", "proj_ch_s2"]
+
+
+class TestBlockOp:
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
+    @pytest.mark.parametrize("in_ch,out_ch,stride", BLOCK_SHAPES, ids=BLOCK_IDS)
+    def test_matches_reference_chain(self, in_ch, out_ch, stride, training, n):
+        x = Tensor(np.random.default_rng(1).uniform(-2, 2, (n, in_ch, 6, 10)), requires_grad=True)
+        ho, wo = -(-6 // stride), -(-10 // stride)
+        weight = Tensor(np.random.default_rng(2).uniform(-1, 1, (n, out_ch, ho, wo)))
+        got, records = taped_block_results(BasicBlock.forward, random_block(in_ch, out_ch, stride), x, training, weight)
+        want, _ = taped_block_results(reference_block, random_block(in_ch, out_ch, stride), x, training, weight)
+        assert records == 3  # the block, the product, the sum
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert a.shape == b.shape and rel_gap(a, b) <= 1e-12
+
+    @pytest.mark.parametrize("per_chunk", [1, 2])
+    @pytest.mark.parametrize("in_ch,out_ch,stride", BLOCK_SHAPES, ids=BLOCK_IDS)
+    def test_chunked_matches_reference_chain(self, monkeypatch, in_ch, out_ch, stride, per_chunk):
+        # N = 5 in chunks of 1 or 2+2+1 samples for conv1's columns (the other convs' own sizes)
+        x = Tensor(np.random.default_rng(3).uniform(-2, 2, (5, in_ch, 6, 10)), requires_grad=True)
+        ho, wo = -(-6 // stride), -(-10 // stride)
+        weight = Tensor(np.random.default_rng(4).uniform(-1, 1, (5, out_ch, ho, wo)))
+        want, _ = taped_block_results(reference_block, random_block(in_ch, out_ch, stride), x, True, weight)
+        monkeypatch.setattr(T, "_COLS_CHUNK", per_chunk * in_ch * 9 * ho * wo)
+        got, _ = taped_block_results(BasicBlock.forward, random_block(in_ch, out_ch, stride), x, True, weight)
+        for a, b in zip(got, want):
+            assert rel_gap(a, b) <= 1e-12
+
+    @pytest.mark.parametrize("in_ch,out_ch,stride", [(4, 4, 1), (3, 5, 2)], ids=["identity", "proj"])
+    def test_input_gradient_owns_its_memory(self, in_ch, out_ch, stride):
+        block = random_block(in_ch, out_ch, stride)
+        x = Tensor(np.random.default_rng(5).uniform(-2, 2, (2, in_ch, 6, 10)), requires_grad=True)
+        with Tape() as tape:
+            root = sum_all(tanh(block.forward(x, training=True)))
+        tape.backward(root)
+        kept = x.grad.copy()
+        assert x.grad.flags["OWNDATA"] and x.grad.flags["C_CONTIGUOUS"]
+        assert not np.shares_memory(x.grad, T._scratch(1, "col2im").base)
+        with Tape() as tape:  # a second backward rewrites the col2im buffer
+            root = sum_all(block.forward(Tensor(np.ones_like(x.data), requires_grad=True), training=True))
+        tape.backward(root)
+        np.testing.assert_array_equal(x.grad, kept)
+
+    @pytest.mark.parametrize("stage,bound", [(0, 4.5), (1, 5.5)], ids=["identity", "proj"])
+    def test_taped_block_holds_little_more_than_its_saved_arrays(self, stage, bound):
+        # x̂ per BN, the inner ReLU output and the output: 4x the output, 5x with a projection
+        block = Backbone(BackboneConfig(), np.random.default_rng(0)).stages[stage][0]
+        x = Tensor(np.random.default_rng(1).uniform(0, 1, (4, 16, 32, 88)), requires_grad=True)
+        with Tape():
+            block.forward(x, training=True)  # grows the reused scratch before measuring
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            with Tape() as tape:
+                y = block.forward(x, training=True)
+            held = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert len(tape) == 1
+        assert held <= bound * y.data.nbytes
+
+    def test_backbone_records_stem_ops_and_one_per_block(self):
+        cfg = BackboneConfig()
+        bb = Backbone(cfg, np.random.default_rng(0))
+        for training in (True, False):
+            with Tape() as tape:
+                bb.forward(Tensor(np.zeros((1, 1, 32, 32)), requires_grad=True), training=training)
+            assert len(tape) == 3 + sum(cfg.stage_blocks)
 
 
 class TestBnFold:
