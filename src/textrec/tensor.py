@@ -12,7 +12,9 @@ matches. The only broadcast products offered are the bias adds built into
 
 from __future__ import annotations
 
+import os
 import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from typing import Callable, Sequence
 
 import numpy as np
@@ -200,9 +202,12 @@ def sigmoid(x: Tensor) -> Tensor:
 
 def _sigmoid_raw(v: np.ndarray) -> np.ndarray:
     # e = exp(-|v|) never overflows: 1/(1+e) for v >= 0, e/(1+e) below;
-    # clip keeps outputs strictly in (0,1)
+    # the in-place max/min keep outputs strictly in (0,1) and propagate NaN
     e = np.exp(-np.abs(v))
-    return np.clip(np.where(v >= 0, 1.0, e) / (1.0 + e), _SIG_LO, _SIG_HI)
+    y = np.where(v >= 0, 1.0, e)
+    np.divide(y, 1.0 + e, out=y)
+    np.maximum(y, _SIG_LO, out=y)
+    return np.minimum(y, _SIG_HI, out=y)
 
 
 def tanh(x: Tensor) -> Tensor:
@@ -307,8 +312,45 @@ def _same_pad(extent: int, k: int, stride: int) -> tuple[int, int, int]:
 
 # One chunk's columns hold at most this many elements (32 MiB) unless one
 # sample needs more: a full-batch block (about 100 MiB at paper scale) would
-# raise peak memory, not reuse it.
+# raise peak memory, not reuse it. A split conv gives each of its P ranges
+# 1/P of it, so its columns stay within the same bound.
 _COLS_CHUNK = 1 << 22
+
+# A conv splits its batch across the cores when its work, 2·K·C·kh·kw·N·Ho·Wo,
+# is at least this many FLOP. The largest conv of the toy training configs is
+# 1.04e8 FLOP (stage0 and stage1, batch 8 at width 88), and the smallest
+# paper-scale 3×3 conv is 5.3e8 (stage1's first, batch 8 at width 56), so the
+# line sits between them. Below it, handing a range to another thread and
+# halving the chunks cost more than the second core saves: splitting every
+# conv slowed a long-line training step (batch 2, no conv above 6.4e6 FLOP)
+# from 55 to 64 ms on a 2-core machine.
+_SPLIT_FLOP = 2.5e8
+
+# The cores this process may run on; a split conv runs at most this many ranges.
+_CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+_POOL: ThreadPoolExecutor | None = None
+_POOL_LOCK = threading.Lock()
+
+
+def _pool() -> ThreadPoolExecutor:
+    """The threads that run a split conv's ranges after the first, started on first use."""
+    global _POOL
+    with _POOL_LOCK:
+        if _POOL is None:
+            _POOL = ThreadPoolExecutor(max(1, _CORES - 1), thread_name_prefix="textrec-conv")
+        return _POOL
+
+
+def _forget_pool() -> None:
+    # a forked child has none of its parent's threads: work handed to the
+    # inherited pool would never run, so the child starts its own
+    global _POOL, _POOL_LOCK
+    _POOL, _POOL_LOCK = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
 
 
 def _scratch(size: int, slot: str = "cols") -> np.ndarray:
@@ -316,13 +358,22 @@ def _scratch(size: int, slot: str = "cols") -> np.ndarray:
 
     Slot ``cols`` holds one chunk's im2col columns, in the forward and again
     in a taped conv's backward, where it then holds the chunk's column
-    gradient. Slot ``col2im`` holds a taped conv's padded input gradient.
-    Both live as long as the thread, so the training and eval paths stop
-    allocating, and page-faulting, their largest temporaries per call.
-    Whatever a caller gets back is overwritten by the next call for the same
-    slot, so no op returns a view of it that outlives one tape pull, and a
-    dX view of ``col2im`` is consumed before the next conv backward runs,
-    even within one pull.
+    gradient. Slots ``cols1``, ``cols2``, ... hold the columns of the other
+    ranges of a split ``conv2d_cnhw``. Slot ``col2im`` holds a taped conv's
+    padded input gradient. All live as long as the thread, so the training
+    and eval paths stop allocating, and page-faulting, their largest
+    temporaries per call.
+
+    Every thread has its own buffers, so callers on different threads never
+    share one. A split conv takes all its ranges' buffers on the calling
+    thread, and the pool threads only fill them: memory a pool thread
+    allocates comes from its own allocator arena, which cannot reuse what
+    the calling thread's arena already holds (buffers taken on the pool
+    thread cost a paper-scale eval run about 12 MiB more peak RSS). Whatever
+    a caller gets back is overwritten by the next call for the same slot on
+    the same thread, so no op returns a view of it that outlives one tape
+    pull, and a dX view of ``col2im`` is consumed before the next conv
+    backward runs, even within one pull.
     """
     buf = getattr(_LOCAL, slot, None)
     if buf is None or buf.size < size:
@@ -342,20 +393,29 @@ def _windows(x: np.ndarray, kh: int, kw: int, sh: int, sw: int) -> np.ndarray:
     return win.transpose(0, 4, 5, 1, 2, 3)
 
 
-def _column_chunks(x: np.ndarray, kh: int, kw: int, sh: int, sw: int):
-    """Yield ``(s, e, cols)`` over whole-sample chunks of channel-major ``x``:
-    ``cols`` is the (C, kh, kw, e - s, Ho, Wo) im2col of samples ``s:e``,
-    copied into the ``cols`` scratch, at most ``_COLS_CHUNK`` elements (or
-    one sample's)."""
+def _column_chunks(x: np.ndarray, kh: int, kw: int, sh: int, sw: int, budget: int, slot: str = "cols"):
+    """Iterator of ``(s, e, cols)`` over whole-sample chunks of channel-major ``x``.
+
+    ``cols`` is the (C, kh, kw, e - s, Ho, Wo) im2col of samples ``s:e``, at
+    most ``budget`` elements (or one sample's). Every chunk is copied into
+    the calling thread's ``slot`` scratch, taken when this is called rather
+    than when it is iterated, so a pool thread that iterates it fills its
+    caller's buffer.
+    """
     c, n, h, wd = x.shape
     sample = c * kh * kw * _same_pad(h, kh, sh)[0] * _same_pad(wd, kw, sw)[0]
-    step = max(1, _COLS_CHUNK // sample)
-    for s in range(0, n, step):
-        e = min(s + step, n)
-        win = _windows(x[:, s:e], kh, kw, sh, sw)
-        cols = _scratch(win.size).reshape(win.shape)
-        np.copyto(cols, win)
-        yield s, e, cols
+    step = max(1, min(n, budget // sample))
+    buf = _scratch(step * sample, slot)
+
+    def chunks():
+        for s in range(0, n, step):
+            e = min(s + step, n)
+            win = _windows(x[:, s:e], kh, kw, sh, sw)
+            cols = buf[: win.size].reshape(win.shape)
+            np.copyto(cols, win)
+            yield s, e, cols
+
+    return chunks()
 
 
 def conv2d_cnhw(
@@ -377,25 +437,58 @@ def conv2d_cnhw(
     column block of the output, and the rest of the chain runs in place on
     that block. One GEMM per chunk rather than one per sample keeps the deep
     stages, whose samples have few output pixels, GEMM-bound.
+
+    A call whose work 2·K·C·kh·kw·N·Ho·Wo reaches ``_SPLIT_FLOP`` splits its
+    batch into P = min(N, ``_CORES``) contiguous sample ranges, the per-core
+    batch split of Caffe con Troll (Hadjis et al., arXiv:1504.04343), which
+    also spreads the im2col copies and the epilogue that a threaded BLAS
+    would leave on one core. The calling thread runs the first range and
+    ``_pool`` the others. Each range has its own chunk loop with a budget of
+    ``_COLS_CHUNK // P`` elements, in its own scratch slot of the calling
+    thread, and writes its own column blocks of the one output; an exception
+    raised in any range reaches the caller once every range has stopped.
+    The threshold sits above every conv of the toy training configs and
+    below every paper-scale 3×3 conv (see ``_SPLIT_FLOP``); smaller calls,
+    and every call when P = 1, run the same range loop inline. The pool
+    threads run only this numpy loop and never read or record onto a tape.
     """
     k, _, kh, kw = w.shape
     sh, sw = stride
+    n = x.shape[1]
     ho, wo = _same_pad(x.shape[2], kh, sh)[0], _same_pad(x.shape[3], kw, sw)[0]
     wmat = w.reshape(k, -1)
     hw = ho * wo
-    out = np.empty((k, x.shape[1], ho, wo))
+    out = np.empty((k, n, ho, wo))
     flat = out.reshape(k, -1)
-    for s, e, cols in _column_chunks(x, kh, kw, sh, sw):
-        y = flat[:, s * hw : e * hw]
-        np.matmul(wmat, cols.reshape(wmat.shape[1], -1), out=y)
-        if scale is not None:
-            y *= scale[:, None]
-        if shift is not None:
-            y += shift[:, None]
-        if residual is not None:
-            out[:, s:e] += residual[:, s:e]
-        if relu:
-            np.maximum(y, 0.0, out=y)
+    p = 1 if 2 * wmat.size * n * hw < _SPLIT_FLOP else max(1, min(n, _CORES))
+
+    def run(lo: int, chunks) -> None:
+        for s, e, cols in chunks:
+            s, e = lo + s, lo + e
+            y = flat[:, s * hw : e * hw]
+            np.matmul(wmat, cols.reshape(wmat.shape[1], -1), out=y)
+            if scale is not None:
+                y *= scale[:, None]
+            if shift is not None:
+                y += shift[:, None]
+            if residual is not None:
+                out[:, s:e] += residual[:, s:e]
+            if relu:
+                np.maximum(y, 0.0, out=y)
+
+    # ranges as even as whole samples allow, the larger first (5 = 3 + 2)
+    bounds = [i * (n // p) + min(i, n % p) for i in range(p + 1)]
+    ranges = [
+        (lo, _column_chunks(x[:, lo:hi], kh, kw, sh, sw, _COLS_CHUNK // p, f"cols{i}" if i else "cols"))
+        for i, (lo, hi) in enumerate(zip(bounds, bounds[1:]))
+    ]
+    futures = [_pool().submit(run, *r) for r in ranges[1:]]
+    try:
+        run(*ranges[0])
+    finally:
+        wait(futures)  # the next call reuses the ranges' buffers
+    for f in futures:
+        f.result()
     return out
 
 
@@ -424,7 +517,7 @@ def _conv_backward(
         hp, wp = h + pt + pb, wd + pl + pr
         dxp = _scratch(c * n * hp * wp, "col2im").reshape(c, n, hp, wp)
         dxp.fill(0.0)
-    for s, e, cols in _column_chunks(x, kh, kw, sh, sw):
+    for s, e, cols in _column_chunks(x, kh, kw, sh, sw, _COLS_CHUNK):
         g2 = g[:, s:e].reshape(k, -1)
         cmat = cols.reshape(wmat.shape[1], -1)
         dw += g2 @ cmat.T

@@ -254,6 +254,28 @@ class TestBnFold:
             assert np.max(np.abs(free.data - ref.data)) / np.max(np.abs(ref.data)) <= 1e-12
             x = Tensor(ref.data)
 
+    @pytest.mark.parametrize("cols_chunk", [None, 1], ids=["default-chunks", "one-sample-chunks"])
+    def test_split_eval_matches_serial_and_per_sample(self, monkeypatch, cols_chunk):
+        # every conv split over two threads, as a paper-scale eval forward splits its 3×3
+        # convs. In one-sample chunks both engines run the same GEMMs and agree bitwise;
+        # otherwise the GEMM widths differ, which BLAS may round differently. The harness
+        # requires batched outputs within 1e-10 of per-sample ones.
+        bb, r = self.calibrated(seed=3)
+        image = Tensor(r.uniform(0, 1, (5, 1, 32, 40)))
+        if cols_chunk is not None:
+            monkeypatch.setattr(T, "_COLS_CHUNK", cols_chunk)
+        monkeypatch.setattr(T, "_CORES", 2)
+        monkeypatch.setattr(T, "_SPLIT_FLOP", float("inf"))
+        serial = bb.forward(image, training=False).data
+        monkeypatch.setattr(T, "_SPLIT_FLOP", 0)
+        split = bb.forward(image, training=False).data
+        if cols_chunk is None:
+            assert rel_gap(split, serial) <= 1e-12
+        else:
+            assert np.array_equal(split, serial)
+        per_sample = np.concatenate([bb.forward(Tensor(image.data[i : i + 1]), training=False).data for i in range(5)])
+        assert np.max(np.abs(split - per_sample)) <= 1e-10
+
     def test_taped_eval_keeps_bn_gradients_and_running_stats(self):
         bb, r = self.calibrated(seed=1)
         stats = {k: (s.running_mean.copy(), s.running_var.copy()) for k, s in bb.norm_states().items()}

@@ -1,3 +1,6 @@
+import multiprocessing
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -55,6 +58,10 @@ class TestElementwise:
         values = [edges] + [r.normal(0.0, s, 20_000) for s in (1.0, 10.0, 100.0, 1000.0)]
         for v in values:
             assert np.array_equal(T.sigmoid(Tensor(v)).data, sigmoid_two_branch(v))
+        with_nan = np.array([np.nan, -np.nan, 0.0, 1.0, -1.0, np.inf, -np.inf])
+        y = T.sigmoid(Tensor(with_nan)).data
+        assert np.isnan(y[:2]).all()
+        assert np.array_equal(y, sigmoid_two_branch(with_nan), equal_nan=True)
 
     def test_sigmoid_monotone(self):
         xs = np.linspace(-6, 6, 101)
@@ -280,8 +287,8 @@ class TestConv2dGrid:
         sample_scratch = 2 * 3 * 3 * 3 * 7  # one sample's columns: C·kh·kw·Ho·Wo
         monkeypatch.setattr(T, "_COLS_CHUNK", per_chunk * sample_scratch)
         chunks = []
-        scratch = T._scratch
-        monkeypatch.setattr(T, "_scratch", lambda size: chunks.append(size) or scratch(size))
+        windows = T._windows
+        monkeypatch.setattr(T, "_windows", lambda xs, *a: chunks.append(xs.shape[1]) or windows(xs, *a))
         free = T.conv2d(x, w, b, stride=(2, 1))
         assert len(chunks) == -(-5 // per_chunk)
         assert rel_gap(free.data, taped.data) <= 1e-12
@@ -311,12 +318,13 @@ class TestConv2dGrid:
         whole = self.taped_results(x, w, b, stride)
         ho, wo = -(-5 // stride[0]), -(-7 // stride[1])
         monkeypatch.setattr(T, "_COLS_CHUNK", per_chunk * 2 * kernel[0] * kernel[1] * ho * wo)
-        slots = []
-        scratch = T._scratch
+        slots, chunks = [], []
+        scratch, windows = T._scratch, T._windows
         monkeypatch.setattr(T, "_scratch", lambda size, slot="cols": slots.append(slot) or scratch(size, slot))
+        monkeypatch.setattr(T, "_windows", lambda xs, *a: chunks.append(xs.shape[1]) or windows(xs, *a))
         chunked = self.taped_results(x, w, b, stride)
-        assert slots.count("cols") == 2 * -(-5 // per_chunk)  # forward and backward
-        assert slots.count("col2im") == 1
+        assert len(chunks) == 2 * -(-5 // per_chunk)  # forward and backward
+        assert slots.count("cols") == 2 and slots.count("col2im") == 1  # taken once per pass
         for got, want in zip(chunked, whole):
             assert rel_gap(got, want) <= 1e-12
 
@@ -410,6 +418,170 @@ class TestConv2dGrid:
         tape.backward(root)
         assert x.grad is not None
         np.testing.assert_array_equal(w.grad, dw)
+
+
+def split_operands(kernel, stride, n, epilogue):
+    """Channel-major conv2d_cnhw arguments; with ``epilogue``, scale, shift, residual and ReLU too."""
+    r = rng()
+    x = r.uniform(-2, 2, (2, n, 5, 7))  # (C, N, H, W), odd H and W
+    w = r.uniform(-1, 1, (3, 2) + kernel)
+    if not epilogue:
+        return (x, w, stride), {}
+    ho, wo = -(-5 // stride[0]), -(-7 // stride[1])
+    extra = dict(scale=r.uniform(0.5, 1.5, 3), shift=r.uniform(-1, 1, 3), residual=r.uniform(-1, 1, (3, n, ho, wo)),
+                 relu=True)
+    return (x, w, stride), extra
+
+
+class TestSplitConv:
+    """conv2d_cnhw over sample ranges on two threads, on any machine: the
+    threshold and the core count are patched, and the serial engine is the
+    same code with the threshold at infinity."""
+
+    @staticmethod
+    def serial(monkeypatch, args, kwargs):
+        with monkeypatch.context() as m:
+            m.setattr(T, "_SPLIT_FLOP", float("inf"))
+            return T.conv2d_cnhw(*args, **kwargs)
+
+    @staticmethod
+    def traced(monkeypatch):
+        """Record (thread, samples) per chunk and (slot, size) per scratch request."""
+        chunks, requests = [], []
+        windows, scratch = T._windows, T._scratch
+
+        def record_windows(xs, *a):
+            chunks.append((threading.get_ident(), xs.shape[1]))
+            return windows(xs, *a)
+
+        def record_scratch(size, slot="cols"):
+            requests.append((slot, size))
+            return scratch(size, slot)
+
+        monkeypatch.setattr(T, "_windows", record_windows)
+        monkeypatch.setattr(T, "_scratch", record_scratch)
+        return chunks, requests
+
+    @pytest.mark.parametrize("per_range", [None, 1], ids=["one-chunk", "chunks-of-1"])
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    @pytest.mark.parametrize("kernel,stride,padding,bias", SAME_GRID)
+    def test_split_equals_serial(self, monkeypatch, kernel, stride, padding, bias, n, per_range):
+        # bias selects the epilogue; N = 1, 2, 5 runs ranges of 1, 1+1 and 3+2 samples.
+        # In chunks of one sample both engines run the same GEMMs, so the results are
+        # bitwise equal; one chunk per range against one for the batch changes the GEMM
+        # widths, which BLAS may round differently, so that pair gets the chunk tests' bound.
+        args, kwargs = split_operands(kernel, stride, n, bias)
+        sample = 2 * kernel[0] * kernel[1] * -(-5 // stride[0]) * -(-7 // stride[1])
+        if per_range is not None:
+            monkeypatch.setattr(T, "_COLS_CHUNK", per_range * sample)
+        want = self.serial(monkeypatch, args, kwargs)
+        if per_range is not None:
+            monkeypatch.setattr(T, "_COLS_CHUNK", 2 * per_range * sample)
+        monkeypatch.setattr(T, "_SPLIT_FLOP", 0)
+        monkeypatch.setattr(T, "_CORES", 2)
+        chunks, requests = self.traced(monkeypatch)
+        got = T.conv2d_cnhw(*args, **kwargs)
+        if per_range is None and n > 1:
+            assert rel_gap(got, want) <= 1e-12
+        else:
+            assert np.array_equal(got, want)
+        p = min(n, 2)
+        assert len({thread for thread, _ in chunks}) == p
+        assert [slot for slot, _ in requests] == ["cols", "cols1"][:p]
+        assert all(size <= max(T._COLS_CHUNK // p, sample) for _, size in requests)
+        assert sum(samples for _, samples in chunks) == n
+        if per_range is not None:
+            assert all(samples == 1 for _, samples in chunks)
+
+    def test_below_threshold_runs_inline(self, monkeypatch):
+        args, kwargs = split_operands((3, 3), (1, 1), 5, True)
+        work = 2 * 3 * 2 * 9 * 5 * 5 * 7  # 2·K·C·kh·kw·N·Ho·Wo
+        monkeypatch.setattr(T, "_CORES", 2)
+        monkeypatch.setattr(T, "_SPLIT_FLOP", work + 1)
+        chunks, requests = self.traced(monkeypatch)
+        below = T.conv2d_cnhw(*args, **kwargs)
+        assert {thread for thread, _ in chunks} == {threading.get_ident()}
+        assert [slot for slot, _ in requests] == ["cols"]
+        monkeypatch.setattr(T, "_SPLIT_FLOP", work)
+        at = T.conv2d_cnhw(*args, **kwargs)
+        assert len({thread for thread, _ in chunks}) == 2
+        assert rel_gap(at, below) <= 1e-12
+
+    def test_worker_exception_reaches_caller_and_next_call_succeeds(self, monkeypatch):
+        args, kwargs = split_operands((3, 3), (2, 2), 5, True)
+        monkeypatch.setattr(T, "_SPLIT_FLOP", 0)
+        monkeypatch.setattr(T, "_CORES", 2)
+        want = T.conv2d_cnhw(*args, **kwargs)
+        caller = threading.get_ident()
+        windows = T._windows
+
+        def fail_off_caller(*a):
+            if threading.get_ident() != caller:
+                raise FloatingPointError("range failed")
+            return windows(*a)
+
+        with monkeypatch.context() as m:
+            m.setattr(T, "_windows", fail_off_caller)
+            with pytest.raises(FloatingPointError, match="range failed"):
+                T.conv2d_cnhw(*args, **kwargs)
+        assert np.array_equal(T.conv2d_cnhw(*args, **kwargs), want)
+
+    def test_concurrent_callers_stress(self, monkeypatch):
+        # more ranges than pool threads and more callers than cores, with frequent
+        # thread switches: a range that wrote another's block or buffer would show
+        cases = [split_operands(k, s, 5, True) for k, s in [((3, 3), (1, 1)), ((3, 1), (2, 1)), ((1, 1), (2, 2))]]
+        monkeypatch.setattr(T, "_SPLIT_FLOP", 0)
+        monkeypatch.setattr(T, "_CORES", 3)
+        wants = [T.conv2d_cnhw(*args, **kwargs) for args, kwargs in cases]
+        bad = []
+
+        def caller(offset):
+            for i in range(30):
+                j = (i + offset) % len(cases)
+                if not np.array_equal(T.conv2d_cnhw(*cases[j][0], **cases[j][1]), wants[j]):
+                    bad.append(j)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=caller, args=(k,)) for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert bad == []
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="no fork on this platform")
+    def test_forked_child_runs_split_convs(self, monkeypatch):
+        # the child inherits the started pool but none of its threads
+        args, kwargs = split_operands((3, 3), (1, 1), 5, True)
+        monkeypatch.setattr(T, "_SPLIT_FLOP", 0)
+        monkeypatch.setattr(T, "_CORES", 2)
+        want = T.conv2d_cnhw(*args, **kwargs)
+        ctx = multiprocessing.get_context("fork")
+        results = ctx.Queue()
+        child = ctx.Process(target=lambda: results.put(T.conv2d_cnhw(*args, **kwargs)))
+        child.start()
+        try:
+            got = results.get(timeout=30)  # a child waiting on threads it lacks times out here
+        finally:
+            child.join(timeout=10)
+            if child.is_alive():
+                child.kill()
+        assert child.exitcode == 0 and np.array_equal(got, want)
+
+    def test_scratch_is_per_thread(self):
+        mine = T._scratch(64, "cols")
+        theirs = []
+        t = threading.Thread(target=lambda: theirs.append(T._scratch(64, "cols")))
+        t.start()
+        t.join(timeout=10)
+        assert not t.is_alive() and len(theirs) == 1
+        assert not np.shares_memory(mine, theirs[0])
+        assert np.shares_memory(mine, T._scratch(64, "cols"))  # reused on the same thread
 
 
 class TestBackward:
