@@ -318,9 +318,9 @@ _COLS_CHUNK = 1 << 22
 
 # A conv splits its batch across the cores when its work, 2·K·C·kh·kw·N·Ho·Wo,
 # is at least this many FLOP. The largest conv of the toy training configs is
-# 1.04e8 FLOP (stage0 and stage1, batch 8 at width 88), and the smallest
-# paper-scale 3×3 conv is 5.3e8 (stage1's first, batch 8 at width 56), so the
-# line sits between them. Below it, handing a range to another thread and
+# 1.04e8 FLOP (stage0 and stage1, batch 8 at width 88), and the smallest 3×3
+# conv of a paper-scale residual block is 5.3e8 (stage1's first, batch 8 at
+# width 56), so the line sits between them. Below it, handing a range to another thread and
 # halving the chunks cost more than the second core saves: splitting every
 # conv slowed a long-line training step (batch 2, no conv above 6.4e6 FLOP)
 # from 55 to 64 ms on a 2-core machine.
@@ -448,8 +448,9 @@ def conv2d_cnhw(
     thread, and writes its own column blocks of the one output; an exception
     raised in any range reaches the caller once every range has stopped.
     The threshold sits above every conv of the toy training configs and
-    below every paper-scale 3×3 conv (see ``_SPLIT_FLOP``); smaller calls,
-    and every call when P = 1, run the same range loop inline. The pool
+    below every 3×3 conv of a paper-scale residual block (see
+    ``_SPLIT_FLOP``); smaller calls, and every call when P = 1, run the same
+    range loop inline. The pool
     threads run only this numpy loop and never read or record onto a tape.
     """
     k, _, kh, kw = w.shape
