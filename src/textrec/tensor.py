@@ -450,8 +450,8 @@ def conv2d_cnhw(
     The threshold sits above every conv of the toy training configs and
     below every 3×3 conv of a paper-scale residual block (see
     ``_SPLIT_FLOP``); smaller calls, and every call when P = 1, run the same
-    range loop inline. The pool
-    threads run only this numpy loop and never read or record onto a tape.
+    range loop inline. The pool threads run only this numpy loop and never
+    read or record onto a tape.
     """
     k, _, kh, kw = w.shape
     sh, sw = stride
