@@ -2,17 +2,19 @@
 
 Labels are drawn over a configurable character subset and rendered from a
 built-in 5x7 bitmap font (letter glyphs use uppercase letterforms; labels stay
-lowercase), dark ink on a light background, with optional uniform pixel noise
-pulling values toward mid-gray. Rendering is deterministic given (label,
-config, seed), canvases are always 32 pixels tall, and widths are padded up to
-a multiple of 8 and to at least 16 pixels per character, which guarantees
+lowercase), dark ink on a light background, with uniform pixel noise pulling
+values toward mid-gray. The glyph geometry is fixed: each glyph is scaled 3x
+to 15x21 pixels, glyphs are 2 pixels apart, and the outer margins are 2
+pixels. Rendering is deterministic given (label, seed), canvases are always
+32 pixels tall, and widths are padded up to a multiple of 8. The pitch of 17
+pixels per character makes W >= 17 * len(label) + 2 > 16 * len(label), so
 every label is CTC-feasible at its rendered width: W/8 >= 2 * len(label).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
@@ -22,6 +24,10 @@ from .errors import DataError
 CANVAS_HEIGHT = 32
 GLYPH_ROWS = 7
 GLYPH_COLS = 5
+SCALE = 3  # font pixels are SCALE x SCALE canvas pixels
+SPACING = 2  # blank columns between neighbouring glyphs
+MARGIN = 2  # blank columns before the first glyph and after the last
+NOISE = 0.1  # amplitude of the uniform noise pulling pixels toward gray
 
 # classic 5x7 dot-matrix letterforms
 _FONT_ROWS = {
@@ -63,8 +69,6 @@ _FONT_ROWS = {
     "9": (".###.", "#...#", "#...#", ".####", "....#", "...#.", ".##.."),
 }
 
-SUPPORTED_CHARS = "".join(sorted(_FONT_ROWS))
-
 
 def _glyph_bitmap(ch: str) -> np.ndarray:
     rows = _FONT_ROWS[ch]
@@ -73,7 +77,7 @@ def _glyph_bitmap(ch: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GenConfig:
-    """Rendering and sampling knobs for the synthetic task.
+    """Sampling knobs for the synthetic task.
 
     The default task draws labels of length 3-5 over the 8-symbol subset
     {a, b, c, d, e, 1, 2, 3}.
@@ -82,10 +86,6 @@ class GenConfig:
     charset: str = "abcde123"
     min_len: int = 3
     max_len: int = 5
-    scale: int = 3
-    spacing: int = 2
-    margin: int = 2
-    noise: float = 0.1
 
     def __post_init__(self):
         unknown = [ch for ch in self.charset if ch not in _FONT_ROWS]
@@ -95,12 +95,6 @@ class GenConfig:
             raise DataError("charset characters must be unique")
         if not 1 <= self.min_len <= self.max_len:
             raise DataError("need 1 <= min_len <= max_len")
-        if not 1 <= self.scale <= (CANVAS_HEIGHT - 2) // GLYPH_ROWS:
-            raise DataError(f"scale must be in 1..{(CANVAS_HEIGHT - 2) // GLYPH_ROWS}")
-        if self.spacing < 0 or self.margin < 0:
-            raise DataError("spacing and margin must be non-negative")
-        if not 0.0 <= self.noise <= 0.5:
-            raise DataError("noise amplitude must be in [0, 0.5]")
 
 
 @dataclass
@@ -115,19 +109,10 @@ class Sample:
     def width(self) -> int:
         return self.image.shape[3]
 
-    @property
-    def num_frames(self) -> int:
-        return self.width // 8
 
-
-def rendered_width(label_len: int, config: GenConfig) -> int:
-    raw = (
-        label_len * GLYPH_COLS * config.scale
-        + (label_len - 1) * config.spacing
-        + 2 * config.margin
-    )
-    # the last character has no trailing spacing, so floor at 16 px per character
-    return max(16 * label_len, 8 * math.ceil(raw / 8))
+def rendered_width(label_len: int) -> int:
+    raw = label_len * GLYPH_COLS * SCALE + (label_len - 1) * SPACING + 2 * MARGIN
+    return 8 * math.ceil(raw / 8)
 
 
 def render(label: str, config: GenConfig, seed: int) -> Sample:
@@ -138,20 +123,18 @@ def render(label: str, config: GenConfig, seed: int) -> Sample:
     if bad:
         raise DataError(f"label {label!r} contains characters outside the charset: {bad}")
 
-    width = rendered_width(len(label), config)
-    canvas = np.ones((CANVAS_HEIGHT, width))
-    top = (CANVAS_HEIGHT - GLYPH_ROWS * config.scale) // 2
-    x = config.margin
+    canvas = np.ones((CANVAS_HEIGHT, rendered_width(len(label))))
+    top = (CANVAS_HEIGHT - GLYPH_ROWS * SCALE) // 2
+    x = MARGIN
     for ch in label:
-        bitmap = np.repeat(np.repeat(_glyph_bitmap(ch), config.scale, 0), config.scale, 1)
+        bitmap = np.repeat(np.repeat(_glyph_bitmap(ch), SCALE, 0), SCALE, 1)
         gh, gw = bitmap.shape
         canvas[top : top + gh, x : x + gw][bitmap] = 0.0
-        x += gw + config.spacing
+        x += gw + SPACING
 
-    if config.noise > 0.0:
-        rng = np.random.default_rng(np.random.SeedSequence(seed))
-        n = rng.uniform(0.0, config.noise, size=canvas.shape)
-        canvas = canvas + n * (1.0 - 2.0 * canvas)  # pull both extremes toward gray
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    n = rng.uniform(0.0, NOISE, size=canvas.shape)
+    canvas = canvas + n * (1.0 - 2.0 * canvas)  # pull both extremes toward gray
 
     return Sample(image=canvas[None, None, :, :], label=label, seed=seed)
 

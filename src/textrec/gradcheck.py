@@ -13,7 +13,7 @@ import numpy as np
 
 from .tensor import Tape, Tensor
 
-DEFAULT_STEP = 1e-6
+STEP = 1e-6
 
 
 def relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
@@ -24,39 +24,28 @@ def relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     return float(np.max(np.abs(a - n) / denom)) if a.size else 0.0
 
 
-def numeric_gradient(
-    forward: Callable[[], float],
-    leaf: Tensor,
-    step: float = DEFAULT_STEP,
-    indices: Sequence[tuple] | None = None,
-) -> np.ndarray:
-    """Central finite differences of ``forward()`` w.r.t. ``leaf.data``.
+def numeric_gradient(forward: Callable[[], float], leaf: Tensor, probe: np.ndarray) -> np.ndarray:
+    """Central finite differences of ``forward()`` w.r.t. the flat elements ``probe`` of ``leaf.data``.
 
-    Perturbs the leaf in place and restores it. When ``indices`` is given only
-    those elements are probed (the rest stay zero); both evaluations per
-    element run without any tape.
+    Perturbs the leaf in place and restores it; both evaluations per element
+    run without any tape. Returns one derivative per probed element.
     """
     flat = leaf.data.reshape(-1)
-    grad = np.zeros_like(flat)
-    if indices is None:
-        probe = range(flat.size)
-    else:
-        probe = [int(np.ravel_multi_index(ix, leaf.data.shape)) for ix in indices]
-    for i in probe:
+    grad = np.empty(len(probe))
+    for j, i in enumerate(probe):
         orig = flat[i]
-        flat[i] = orig + step
+        flat[i] = orig + STEP
         hi = forward()
-        flat[i] = orig - step
+        flat[i] = orig - STEP
         lo = forward()
         flat[i] = orig
-        grad[i] = (hi - lo) / (2.0 * step)
-    return grad.reshape(leaf.data.shape)
+        grad[j] = (hi - lo) / (2.0 * STEP)
+    return grad
 
 
 def check_gradients(
     build: Callable[[], Tensor],
     leaves: Sequence[Tensor],
-    step: float = DEFAULT_STEP,
     max_probe: int | None = None,
     rng: np.random.Generator | None = None,
 ) -> float:
@@ -73,7 +62,7 @@ def check_gradients(
         leaf.grad = None
     tape.backward(root)
     analytic = [
-        np.zeros_like(leaf.data) if leaf.grad is None else leaf.grad.copy() for leaf in leaves
+        np.zeros(leaf.size) if leaf.grad is None else leaf.grad.reshape(-1).copy() for leaf in leaves
     ]
 
     def forward() -> float:
@@ -83,13 +72,8 @@ def check_gradients(
     for leaf, ana in zip(leaves, analytic):
         if max_probe is not None and leaf.size > max_probe:
             r = rng if rng is not None else np.random.default_rng(0)
-            chosen = r.choice(leaf.size, size=max_probe, replace=False)
-            indices = [np.unravel_index(int(i), leaf.data.shape) for i in chosen]
-            num = numeric_gradient(forward, leaf, step, indices)
-            sel = tuple(np.array([ix[d] for ix in indices]) for d in range(leaf.data.ndim))
-            err = relative_error(ana[sel], num[sel])
+            probe = r.choice(leaf.size, size=max_probe, replace=False)
         else:
-            num = numeric_gradient(forward, leaf, step)
-            err = relative_error(ana, num)
-        worst = max(worst, err)
+            probe = np.arange(leaf.size)
+        worst = max(worst, relative_error(ana[probe], numeric_gradient(forward, leaf, probe)))
     return worst

@@ -227,8 +227,8 @@ class SupervisionBranch:
 
     def forward(self, seq: Tensor) -> Tensor:
         t_len, n, f = _check_sequence(seq)
-        logits = linear(reshape(seq, (t_len * n, f)), self.fc_w, self.fc_b)
-        return _softmax_steps(reshape(logits, (t_len, n, self.fc_b.size)))
+        probs = softmax_rows(linear(reshape(seq, (t_len * n, f)), self.fc_w, self.fc_b))
+        return reshape(probs, (t_len, n, self.fc_b.size))
 
     def parameters(self) -> dict[str, Tensor]:
         return {"fc.w": self.fc_w, "fc.b": self.fc_b}

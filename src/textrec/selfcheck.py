@@ -183,13 +183,14 @@ def _softmax_rowsum_check(rng: np.random.Generator) -> CheckResult:
 def _determinism_check(rng: np.random.Generator) -> CheckResult:
     x = Tensor(rng.uniform(-2, 2, (3, 3)), requires_grad=True)
     w = Tensor(rng.uniform(-2, 2, (3, 3)), requires_grad=True)
-    with Tape() as tape:
-        root = sum_all(sigmoid(matmul(x, w)))
-    tape.backward(root)
-    first = (x.grad.copy(), w.grad.copy())
-    tape.clear_grads()
-    tape.backward(root)
-    same = np.array_equal(first[0], x.grad) and np.array_equal(first[1], w.grad)
+    grads = []
+    for _ in range(2):  # two fresh tapes over the same inputs
+        x.grad = w.grad = None
+        with Tape() as tape:
+            root = sum_all(sigmoid(matmul(x, w)))
+        tape.backward(root)
+        grads.append((x.grad, w.grad))
+    same = all(np.array_equal(a, b) for a, b in zip(*grads))
     return CheckResult("tape/backward_determinism", 0.0 if same else 1.0, 0.0)
 
 

@@ -112,7 +112,8 @@ class Tape:
         """Populate ``grad`` on every recorded tensor that ``root`` depends on.
 
         ``root`` must be scalar (shape product 1). Gradients accumulate into
-        existing buffers, so leaf tensors keep sums across calls until reset.
+        existing buffers, so leaf tensors keep sums across calls until their
+        ``grad`` is set to None.
         """
         if root.size != 1:
             raise ShapeError(f"backward root must be scalar, got shape {root.shape}")
@@ -124,13 +125,6 @@ class Tape:
             for t, g in zip(inputs, grads):
                 if t.requires_grad and g is not None:
                     t.accumulate_grad(np.asarray(g, dtype=np.float64))
-
-    def clear_grads(self) -> None:
-        """Reset gradients of every tensor this tape has touched."""
-        for out, inputs, _ in self._records:
-            out.grad = None
-            for t in inputs:
-                t.grad = None
 
 
 def tracking(inputs: Sequence[Tensor]) -> bool:
@@ -329,28 +323,22 @@ _SPLIT_FLOP = 2.5e8
 # The cores this process may run on; a split conv runs at most this many ranges.
 _CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
-_POOL: ThreadPoolExecutor | None = None
-_POOL_LOCK = threading.Lock()
 
+def _new_pool() -> None:
+    """Build ``_POOL``, the threads that run a split conv's ranges after the first.
 
-def _pool() -> ThreadPoolExecutor:
-    """The threads that run a split conv's ranges after the first, started on first use."""
+    An executor starts no thread before its first ``submit``, so building it
+    at import costs nothing. A forked child has none of its parent's
+    threads, and work handed to the inherited pool would never run, so the
+    child builds its own.
+    """
     global _POOL
-    with _POOL_LOCK:
-        if _POOL is None:
-            _POOL = ThreadPoolExecutor(max(1, _CORES - 1), thread_name_prefix="textrec-conv")
-        return _POOL
+    _POOL = ThreadPoolExecutor(max(1, _CORES - 1), thread_name_prefix="textrec-conv")
 
 
-def _forget_pool() -> None:
-    # a forked child has none of its parent's threads: work handed to the
-    # inherited pool would never run, so the child starts its own
-    global _POOL, _POOL_LOCK
-    _POOL, _POOL_LOCK = None, threading.Lock()
-
-
+_new_pool()
 if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
+    os.register_at_fork(after_in_child=_new_pool)
 
 
 def _scratch(size: int, slot: str = "cols") -> np.ndarray:
@@ -443,7 +431,7 @@ def conv2d_cnhw(
     batch split of Caffe con Troll (Hadjis et al., arXiv:1504.04343), which
     also spreads the im2col copies and the epilogue that a threaded BLAS
     would leave on one core. The calling thread runs the first range and
-    ``_pool`` the others. Each range has its own chunk loop with a budget of
+    ``_POOL`` the others. Each range has its own chunk loop with a budget of
     ``_COLS_CHUNK // P`` elements, in its own scratch slot of the calling
     thread, and writes its own column blocks of the one output; an exception
     raised in any range reaches the caller once every range has stopped.
@@ -483,7 +471,7 @@ def conv2d_cnhw(
         (lo, _column_chunks(x[:, lo:hi], kh, kw, sh, sw, _COLS_CHUNK // p, f"cols{i}" if i else "cols"))
         for i, (lo, hi) in enumerate(zip(bounds, bounds[1:]))
     ]
-    futures = [_pool().submit(run, *r) for r in ranges[1:]]
+    futures = [_POOL.submit(run, *r) for r in ranges[1:]]
     try:
         run(*ranges[0])
     finally:

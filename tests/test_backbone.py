@@ -254,6 +254,16 @@ class TestBnFold:
             assert np.max(np.abs(free.data - ref.data)) / np.max(np.abs(ref.data)) <= 1e-12
             x = Tensor(ref.data)
 
+    def test_eval_forward_is_stem_ops_then_blocks(self):
+        # the composition a per-layer trace times, layer by layer, must be the forward itself
+        bb, r = self.calibrated(seed=4)
+        image = Tensor(r.uniform(0, 1, (2, 1, 32, 40)))
+        x = relu(bb.stem_bn.forward(bb.stem_conv.forward(image), False))
+        for blocks in bb.stages:
+            for block in blocks:
+                x = block.forward(x, False)
+        assert np.array_equal(bb.forward(image, training=False).data, x.data)
+
     @pytest.mark.parametrize("cols_chunk", [None, 1], ids=["default-chunks", "one-sample-chunks"])
     def test_split_eval_matches_serial_and_per_sample(self, monkeypatch, cols_chunk):
         # every conv split over two threads, as a paper-scale eval forward splits its 3×3

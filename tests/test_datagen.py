@@ -1,18 +1,8 @@
-from itertools import product
-
 import numpy as np
 import pytest
 
-from textrec.datagen import GenConfig, make_split, render, rendered_width
+from textrec.datagen import MARGIN, GenConfig, make_split, render, rendered_width
 from textrec.errors import DataError
-
-
-def accepted_configs():
-    for scale, spacing, margin in product(range(1, 5), range(0, 17), range(0, 4)):
-        try:
-            yield GenConfig(scale=scale, spacing=spacing, margin=margin)
-        except DataError:
-            pass
 
 
 class TestSplit:
@@ -37,29 +27,23 @@ class TestSplit:
 
 
 class TestWidth:
-    def test_every_accepted_config_is_ctc_feasible(self):
-        configs = list(accepted_configs())
-        assert len(configs) > 100
-        for cfg in configs:
-            for length in range(1, 7):
-                width = render("a" * length, cfg, 0).width
-                assert width == rendered_width(length, cfg)
-                assert width % 8 == 0
-                assert width // 8 >= 2 * length, (cfg, length, width)
-
-    def test_tight_pitch_gets_the_floor(self):
-        # 5 px glyphs + 11 px spacing: "ab" needs 21 px of ink but 4 frames
-        cfg = GenConfig(scale=1, spacing=11, margin=0)
-        assert render("ab", cfg, 0).width == 32
+    def test_every_length_is_ctc_feasible(self):
+        cfg = GenConfig(min_len=1, max_len=40)
+        for length in range(1, 41):
+            width = render("a" * length, cfg, 0).width
+            assert width % 8 == 0
+            assert width // 8 >= 2 * length, (length, width)
+            assert width == rendered_width(length)
 
     def test_default_widths(self):
-        assert [rendered_width(n, GenConfig()) for n in (3, 4, 5)] == [56, 72, 88]
+        assert [rendered_width(n) for n in (3, 4, 5)] == [56, 72, 88]
 
     def test_glyphs_fit_the_canvas(self):
-        sample = render("abcde", GenConfig(noise=0.0), 0)
+        # noise moves a pixel at most 0.1 toward gray, so 0.5 still separates ink
+        sample = render("abcde", GenConfig(), 0)
         ink = np.flatnonzero((sample.image[0, 0] < 0.5).any(axis=0))
-        assert ink[0] >= GenConfig().margin
-        assert ink[-1] < sample.width - GenConfig().margin
+        assert ink[0] >= MARGIN
+        assert ink[-1] < sample.width - MARGIN
 
 
 class TestRejection:

