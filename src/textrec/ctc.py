@@ -1,9 +1,14 @@
 """Connectionist temporal classification: alphabet, collapse, loss, decoding.
 
 The loss sums path probabilities over every frame labeling that collapses to
-the target (merge repeats, then drop blanks) via the forward-backward
-recursion over the blank-interleaved label. All recursions run in log space
-with log-sum-exp, so long sequences cannot underflow. Blank is always class 0.
+the target (merge repeats, then drop blanks), on the lattice of the
+blank-interleaved label. One recursion gives alpha; beta is the same recursion
+on the lattice reversed in time and label order, since the blank-skip rule
+reads the same both ways. Neither table holds its own frame's emission, so
+dL/dy[t, k] = -(occupancy / y) summed over the class-k nodes = -alpha * beta / p,
+scattered once onto the classes (Graves et al., 2006, section 4.2). It stays
+finite at an exact zero y. All of it runs in log space with log-sum-exp, so
+long sequences cannot underflow. Blank is always class 0.
 """
 
 from __future__ import annotations
@@ -102,47 +107,25 @@ def _interleave(label: list[int]) -> np.ndarray:
     return ext
 
 
-def ctc_forward_backward(log_probs: np.ndarray, label: list[int]):
-    """Log-space alpha/beta over the blank-interleaved label.
+def _log_alpha(emit: np.ndarray, ext: np.ndarray) -> np.ndarray:
+    """Log mass of the label prefixes that reach node (t, s) before frame t emits.
 
-    Both tables include the emission at their own timestep, so the total
-    probability of paths passing through (t, s) is alpha + beta - emission.
-    Returns (log alpha, log beta, log total probability).
+    ``emit`` is the (T, S) table of log probabilities of the extended label
+    ``ext`` per frame. A path starts on the leading blank or the first symbol;
+    each frame it stays, moves one node on, or skips the blank between two
+    distinct symbols. Reversing ``emit`` in time and label order, and ``ext``
+    in label order, gives the same recursion for the suffixes.
     """
-    t_len, _ = log_probs.shape
-    ext = _interleave(label)
-    s_len = len(ext)
-    emit = log_probs[:, ext]  # (T, S)
-
-    # positions allowed to skip over the preceding blank (distinct neighbors)
-    skip = np.zeros(s_len, dtype=bool)
-    skip[2:] = (ext[2:] != BLANK) & (ext[2:] != ext[:-2])
-    idx = np.flatnonzero(skip)
-
-    la = np.full((t_len, s_len), NEG_INF)
-    la[0, 0] = emit[0, 0]
-    if s_len > 1:
-        la[0, 1] = emit[0, 1]
+    t_len, s_len = emit.shape
+    skip = 2 + np.flatnonzero((ext[2:] != BLANK) & (ext[2:] != ext[:-2]))
+    alpha = np.full((t_len, s_len), NEG_INF)
+    alpha[0, :2] = 0.0
     for t in range(1, t_len):
-        prev = la[t - 1]
-        m = prev.copy()
-        m[1:] = np.logaddexp(m[1:], prev[:-1])
-        m[idx] = np.logaddexp(m[idx], prev[idx - 2])
-        la[t] = m + emit[t]
-
-    lb = np.full((t_len, s_len), NEG_INF)
-    lb[-1, -1] = emit[-1, -1]
-    if s_len > 1:
-        lb[-1, -2] = emit[-1, -2]
-    for t in range(t_len - 2, -1, -1):
-        nxt = lb[t + 1]
-        m = nxt.copy()
-        m[:-1] = np.logaddexp(m[:-1], nxt[1:])
-        m[idx - 2] = np.logaddexp(m[idx - 2], nxt[idx])
-        lb[t] = m + emit[t]
-
-    log_p = la[-1, -1] if s_len == 1 else np.logaddexp(la[-1, -1], la[-1, -2])
-    return la, lb, log_p
+        prev = alpha[t - 1] + emit[t - 1]
+        alpha[t] = prev
+        alpha[t, 1:] = np.logaddexp(prev[1:], prev[:-1])
+        alpha[t, skip] = np.logaddexp(alpha[t, skip], prev[skip - 2])
+    return alpha
 
 
 def ctc_loss(probs: Tensor, label) -> Tensor:
@@ -161,26 +144,18 @@ def ctc_loss(probs: Tensor, label) -> Tensor:
             f"label of length {len(ids)} needs at least {label_min_frames(ids)} frames, got {t_len}"
         )
 
-    with np.errstate(divide="ignore"):
-        log_probs = np.log(probs.data)
-    la, lb, log_p = ctc_forward_backward(log_probs, ids)
-    loss = -log_p
-
     ext = _interleave(ids)
-    emit = log_probs[:, ext]
-    with np.errstate(invalid="ignore"):
-        through = la + lb - emit  # (T, S) log mass of paths passing through (t, s)
-    through[np.isneginf(la + lb)] = NEG_INF
+    with np.errstate(divide="ignore"):
+        emit = np.log(probs.data)[:, ext]  # (T, S)
+    alpha = _log_alpha(emit, ext)
+    log_p = np.logaddexp.reduce(alpha[-1, -2:] + emit[-1, -2:])
 
     grad = np.zeros_like(probs.data)
     if np.isfinite(log_p):
-        for k in np.unique(ext):
-            cols = through[:, ext == k]
-            lse = np.logaddexp.reduce(cols, axis=1)
-            ok = ~np.isneginf(lse)
-            grad[ok, k] = -np.exp(lse[ok] - log_probs[ok, k] - log_p)
+        beta = _log_alpha(emit[::-1, ::-1], ext[::-1])[::-1, ::-1]
+        np.add.at(grad, (slice(None), ext), -np.exp(alpha + beta - log_p))
 
-    return apply_op(np.asarray(loss), (probs,), lambda g: (float(g) * grad,))
+    return apply_op(np.asarray(-log_p), (probs,), lambda g: (float(g) * grad,))
 
 
 def greedy_decode(probs) -> list[int]:
@@ -188,7 +163,7 @@ def greedy_decode(probs) -> list[int]:
 
     Ties break toward the lowest class index.
     """
-    data = probs.data if isinstance(probs, Tensor) else np.asarray(probs)
-    if data.ndim != 2:
-        raise ShapeError(f"greedy_decode expects a (T, A) array, got {data.shape}")
-    return collapse(np.argmax(data, axis=1))
+    probs = np.asarray(probs)
+    if probs.ndim != 2:
+        raise ShapeError(f"greedy_decode expects a (T, A) array, got {probs.shape}")
+    return collapse(np.argmax(probs, axis=1))

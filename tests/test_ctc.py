@@ -15,7 +15,7 @@ from textrec.ctc import (
 )
 from textrec.errors import DataError, InfeasibleLabelError
 from textrec.gradcheck import check_gradients
-from textrec.selfcheck import all_feasible_labels, brute_force_ctc_loss, random_row_stochastic
+from textrec.selfcheck import random_row_stochastic
 from textrec.tensor import Tape, Tensor, softmax_rows
 
 
@@ -86,28 +86,6 @@ class TestLossValues:
         loss = float(ctc_loss(probs, []).data)
         assert loss == pytest.approx(-math.log(0.6 * 0.9), abs=1e-12)
 
-    def test_oracle_equivalence_exhaustive(self):
-        rng = np.random.default_rng(7)
-        for t_len in range(1, 6):
-            for num_classes in (2, 3):
-                for _ in range(5):
-                    probs = random_row_stochastic(rng, t_len, num_classes)
-                    for label in all_feasible_labels(num_classes, t_len, max_len=3):
-                        got = float(ctc_loss(Tensor(probs), list(label)).data)
-                        want = brute_force_ctc_loss(probs, label)
-                        assert got == pytest.approx(want, abs=1e-10)
-
-    def test_probability_conservation(self):
-        rng = np.random.default_rng(11)
-        for t_len in (1, 2, 3, 4):
-            for num_classes in (2, 3):
-                probs = random_row_stochastic(rng, t_len, num_classes)
-                total = sum(
-                    math.exp(-float(ctc_loss(Tensor(probs), list(label)).data))
-                    for label in all_feasible_labels(num_classes, t_len, max_len=t_len)
-                )
-                assert total == pytest.approx(1.0, abs=1e-9)
-
     def test_scale_monotonicity(self):
         # raising the probability along an admissible path never raises the loss
         rng = np.random.default_rng(3)
@@ -123,6 +101,14 @@ class TestLossValues:
             assert float(ctc_loss(Tensor(boosted), label).data) <= base + 1e-12
 
 
+def _loss_and_gradient(probs: np.ndarray, label) -> tuple[float, np.ndarray]:
+    leaf = Tensor(probs, requires_grad=True)
+    with Tape() as tape:
+        loss = ctc_loss(leaf, label)
+    tape.backward(loss)
+    return float(loss.data), leaf.grad
+
+
 class TestLossGradient:
     def test_gradient_through_softmax_matches_fd(self):
         rng = np.random.default_rng(5)
@@ -132,12 +118,50 @@ class TestLossGradient:
 
     def test_gradient_wrt_probs_matches_fd(self):
         rng = np.random.default_rng(6)
-        raw = random_row_stochastic(rng, 5, 4)
-        probs = Tensor(raw, requires_grad=True)
-        # FD perturbs rows off the simplex; the analytic gradient is defined
-        # on the open box, so the comparison is still valid.
-        err = check_gradients(lambda: ctc_loss(probs, [2, 1]), [probs])
-        assert err < 1e-6
+        # the second label has adjacent repeats, where the lattice may not skip the blank
+        for t_len, label in ((5, [2, 1]), (12, [1, 1, 2, 1, 3, 3])):
+            probs = Tensor(random_row_stochastic(rng, t_len, 4), requires_grad=True)
+            # FD perturbs rows off the simplex; the analytic gradient is defined
+            # on the open box, so the comparison is still valid.
+            err = check_gradients(lambda: ctc_loss(probs, label), [probs])
+            assert err < 1e-6
+
+    def test_each_frame_holds_unit_occupancy(self):
+        # every path visits one node per frame, so sum_k p[t, k] * dL/dp[t, k]
+        # = -(total occupancy of frame t) = -1; at the long-line shapes
+        rng = np.random.default_rng(12)
+        for _ in range(6):
+            t_len = int(rng.integers(35, 44))
+            label = [int(k) for k in rng.integers(1, 37, int(rng.integers(16, 21)))]
+            label[5] = label[4]
+            label[11] = label[10]
+            logits = rng.normal(0.0, 2.0, (t_len, 37))
+            probs = np.exp(logits - logits.max(axis=1, keepdims=True))
+            probs /= probs.sum(axis=1, keepdims=True)
+            _, grad = _loss_and_gradient(probs, label)
+            assert np.max(np.abs((probs * grad).sum(axis=1) + 1.0)) < 1e-12
+
+    def test_exact_zero_gives_the_gradient_limit(self):
+        rng = np.random.default_rng(9)
+        probs = random_row_stochastic(rng, 5, 4)
+        probs[2, 3] = 0.0  # class 3 is on no path of the label
+        loss, grad = _loss_and_gradient(probs, [1, 2])
+        assert np.isfinite(loss) and np.all(np.isfinite(grad)) and grad[2, 3] == 0.0
+        # a zero that kills some of the label's paths: the derivative is the
+        # limit of the derivative as the probability goes to 0
+        tiny = probs.copy()
+        probs[1, 1] = 0.0
+        tiny[1, 1] = 1e-200
+        (loss, grad), (_, near) = _loss_and_gradient(probs, [1, 2]), _loss_and_gradient(tiny, [1, 2])
+        assert np.isfinite(loss) and np.all(np.isfinite(grad)) and grad[1, 1] < 0.0
+        np.testing.assert_allclose(grad, near, rtol=1e-12)
+
+    def test_label_on_no_live_path_gives_inf_and_zero_gradient(self):
+        rng = np.random.default_rng(10)
+        probs = random_row_stochastic(rng, 5, 4)
+        probs[:, 2] = 0.0
+        loss, grad = _loss_and_gradient(probs, [1, 2])
+        assert loss == math.inf and not grad.any()
 
     def test_gradient_descent_on_probs_reduces_loss(self):
         rng = np.random.default_rng(8)
