@@ -93,40 +93,46 @@ class CheckResult:
         return f"{status}  {self.name}  max_err={self.max_error:.3e}  tol={self.tolerance:.0e}"
 
 
-def _op_gradient_checks(rng: np.random.Generator) -> list[CheckResult]:
+def _rng(name: str) -> np.random.Generator:
+    """Check ``name``'s own generator, seeded from ``SEED`` and the name, so
+    that no check's draws move the inputs of another."""
+    return np.random.default_rng([SEED, *name.encode()])
+
+
+def _op_gradient_checks() -> list[CheckResult]:
     checks: list[CheckResult] = []
 
-    def check(name: str, build: Callable[[], Tensor], leaves, tol: float = 1e-6) -> None:
+    def check(name: str, build: Callable[[], Tensor], leaves, rng: np.random.Generator, tol: float = 1e-6) -> None:
+        # rng drew the check's inputs and now draws check_gradients' probes
         err = check_gradients(build, leaves, max_probe=64, rng=rng)
         checks.append(CheckResult(f"grad/{name}", err, tol))
 
-    x = Tensor(rng.uniform(-2, 2, (4, 5)), requires_grad=True)
-    y = Tensor(rng.uniform(-2, 2, (4, 5)), requires_grad=True)
-    check("mul", lambda: sum_all(mul(x, y)), [x, y])
-    check("sigmoid", lambda: sum_all(mul(sigmoid(x), y)), [x, y])
-    check("tanh", lambda: sum_all(mul(tanh(x), y)), [x, y])
-    check("relu", lambda: sum_all(mul(relu(x), y)), [x, y])
-    check("softmax_rows", lambda: sum_all(mul(softmax_rows(x), y)), [x, y])
+    same = lambda v: v  # noqa: E731
+    for name, op in (("mul", same), ("sigmoid", sigmoid), ("tanh", tanh), ("relu", relu), ("softmax_rows", softmax_rows)):
+        rng = _rng(f"grad/{name}")
+        x = Tensor(rng.uniform(-2, 2, (4, 5)), requires_grad=True)
+        y = Tensor(rng.uniform(-2, 2, (4, 5)), requires_grad=True)
+        check(name, lambda: sum_all(mul(op(x), y)), [x, y], rng)
 
+    rng = _rng("grad/matmul+bias")
     a = Tensor(rng.uniform(-2, 2, (3, 4)), requires_grad=True)
     b = Tensor(rng.uniform(-2, 2, (4, 6)), requires_grad=True)
     c = Tensor(rng.uniform(-2, 2, (6,)), requires_grad=True)
     w2 = Tensor(rng.uniform(-2, 2, (3, 6)), requires_grad=True)
-    check("matmul+bias", lambda: sum_all(mul(add_bias(matmul(a, b), c), w2)), [a, b, c])
+    check("matmul+bias", lambda: sum_all(mul(add_bias(matmul(a, b), c), w2)), [a, b, c], rng)
 
-    xi = Tensor(rng.uniform(-2, 2, (1, 2, 5, 5)), requires_grad=True)
-    ki = Tensor(rng.uniform(-1, 1, (3, 2, 3, 1)), requires_grad=True)
-    check("conv2d", lambda: sum_all(conv2d(xi, ki, stride=(1, 1))), [xi, ki])
-    check(
-        "conv2d_strided",
-        lambda: sum_all(sigmoid(conv2d(xi, ki, stride=(2, 2)))),
-        [xi, ki],
-    )
+    for name, stride, op in (("conv2d", (1, 1), same), ("conv2d_strided", (2, 2), sigmoid)):
+        rng = _rng(f"grad/{name}")
+        xi = Tensor(rng.uniform(-2, 2, (1, 2, 5, 5)), requires_grad=True)
+        ki = Tensor(rng.uniform(-1, 1, (3, 2, 3, 1)), requires_grad=True)
+        check(name, lambda: sum_all(op(conv2d(xi, ki, stride=stride))), [xi, ki], rng)
 
+    rng = _rng("grad/scale_channels")
     xa = Tensor(rng.uniform(-2, 2, (2, 3, 4, 4)), requires_grad=True)
     ma = Tensor(rng.uniform(0.1, 0.9, (2, 1, 4, 4)), requires_grad=True)
-    check("scale_channels", lambda: sum_all(scale_channels(xa, ma)), [xa, ma])
+    check("scale_channels", lambda: sum_all(scale_channels(xa, ma)), [xa, ma], rng)
 
+    rng = _rng("grad/batch_norm")
     xb = Tensor(rng.uniform(-2, 2, (3, 4, 2, 5)), requires_grad=True)
     gb = Tensor(rng.uniform(0.5, 1.5, (4,)), requires_grad=True)
     bb = Tensor(rng.uniform(-0.5, 0.5, (4,)), requires_grad=True)
@@ -135,21 +141,18 @@ def _op_gradient_checks(rng: np.random.Generator) -> list[CheckResult]:
         "batch_norm",
         lambda: sum_all(mul(batch_norm(xb, gb, bb, st, training=True), Tensor(np.ones((3, 4, 2, 5)) * 0.5 + 0.1))),
         [xb, gb, bb],
+        rng,
         tol=1e-5,
     )
 
+    rng = _rng("grad/ctc_through_softmax")
     logits = Tensor(rng.uniform(-2, 2, (8, 5)), requires_grad=True)
-    label = [1, 2, 1]
-    check(
-        "ctc_through_softmax",
-        lambda: ctc_loss(softmax_rows(logits), label),
-        [logits],
-        tol=1e-6,
-    )
+    check("ctc_through_softmax", lambda: ctc_loss(softmax_rows(logits), [1, 2, 1]), [logits], rng)
     return checks
 
 
-def _ctc_oracle_check(rng: np.random.Generator) -> CheckResult:
+def _ctc_oracle_check() -> CheckResult:
+    rng = _rng("ctc/oracle_equivalence")
     worst = 0.0
     for t_len in range(1, 6):
         for num_classes in (2, 3):
@@ -162,7 +165,8 @@ def _ctc_oracle_check(rng: np.random.Generator) -> CheckResult:
     return CheckResult("ctc/oracle_equivalence", worst, 1e-10)
 
 
-def _ctc_conservation_check(rng: np.random.Generator) -> CheckResult:
+def _ctc_conservation_check() -> CheckResult:
+    rng = _rng("ctc/probability_conservation")
     worst = 0.0
     for t_len in (1, 2, 3, 4):
         for num_classes in (2, 3):
@@ -174,7 +178,8 @@ def _ctc_conservation_check(rng: np.random.Generator) -> CheckResult:
     return CheckResult("ctc/probability_conservation", worst, 1e-9)
 
 
-def _softmax_rowsum_check(rng: np.random.Generator) -> CheckResult:
+def _softmax_rowsum_check() -> CheckResult:
+    rng = _rng("softmax/rows_sum_to_one")
     worst = 0.0
     for _ in range(20):
         x = Tensor(rng.uniform(-1000, 1000, (6, 7)))
@@ -183,7 +188,8 @@ def _softmax_rowsum_check(rng: np.random.Generator) -> CheckResult:
     return CheckResult("softmax/rows_sum_to_one", worst, 1e-12)
 
 
-def _determinism_check(rng: np.random.Generator) -> CheckResult:
+def _determinism_check() -> CheckResult:
+    rng = _rng("tape/backward_determinism")
     x = Tensor(rng.uniform(-2, 2, (3, 3)), requires_grad=True)
     w = Tensor(rng.uniform(-2, 2, (3, 3)), requires_grad=True)
     grads = []
@@ -199,22 +205,18 @@ def _determinism_check(rng: np.random.Generator) -> CheckResult:
 
 def run_all() -> list[CheckResult]:
     """Run the whole self-check suite; returns one result per check."""
-    rng = np.random.default_rng(SEED)
-    results = _op_gradient_checks(rng)
-    results.append(_ctc_oracle_check(rng))
-    results.append(_ctc_conservation_check(rng))
-    results.append(_softmax_rowsum_check(rng))
-    results.append(_determinism_check(rng))
-    results.extend(_pipeline_checks(rng))
-    return results
+    results = _op_gradient_checks()
+    results += [_ctc_oracle_check(), _ctc_conservation_check(), _softmax_rowsum_check(), _determinism_check()]
+    return results + _pipeline_checks()
 
 
-def _pipeline_checks(rng: np.random.Generator) -> list[CheckResult]:
+def _pipeline_checks() -> list[CheckResult]:
     # imported lazily: backbone/heads sit above this module in the layering
     from .backbone import AttentionModule, Backbone, BackboneConfig, BasicBlock, map_to_sequence
     from .heads import BlstmConfig, ContextBranch, SupervisionBranch, lstm_scan
 
     checks: list[CheckResult] = []
+    rng = _rng("grad/feature_pipeline_32x32")
     cfg = BackboneConfig(stage_channels=(2, 3, 4, 5))
     backbone = Backbone(cfg, rng)
     attention = AttentionModule(cfg.out_channels, rng)
@@ -230,24 +232,22 @@ def _pipeline_checks(rng: np.random.Generator) -> list[CheckResult]:
     err = check_gradients(pipeline, [image], max_probe=48, rng=rng)
     checks.append(CheckResult("grad/feature_pipeline_32x32", err, 1e-5))
 
-    ctx = ContextBranch(6, BlstmConfig(hidden_size=4), num_classes=4, rng=rng)
-    seq_in = Tensor(rng.uniform(-1, 1, (4, 1, 6)), requires_grad=True)
-    err = check_gradients(
-        lambda: ctc_loss(getitem(ctx.forward(seq_in), (slice(None), 0)), [1, 2]),
-        [seq_in],
-        max_probe=None,
-    )
-    checks.append(CheckResult("grad/context_branch", err, 1e-5))
-
-    sup = SupervisionBranch(6, num_classes=4, rng=rng)
-    err = check_gradients(
-        lambda: ctc_loss(getitem(sup.forward(seq_in), (slice(None), 0)), [1, 2]),
-        [seq_in],
-        max_probe=None,
-    )
-    checks.append(CheckResult("grad/supervision_branch", err, 1e-5))
+    for name in ("context_branch", "supervision_branch"):
+        rng = _rng(f"grad/{name}")
+        if name == "context_branch":
+            branch = ContextBranch(6, BlstmConfig(hidden_size=4), num_classes=4, rng=rng)
+        else:
+            branch = SupervisionBranch(6, num_classes=4, rng=rng)
+        seq_in = Tensor(rng.uniform(-1, 1, (4, 1, 6)), requires_grad=True)
+        err = check_gradients(
+            lambda: ctc_loss(getitem(branch.forward(seq_in), (slice(None), 0)), [1, 2]),
+            [seq_in],
+            max_probe=None,
+        )
+        checks.append(CheckResult(f"grad/{name}", err, 1e-5))
 
     # both scan directions, every input of the fused op, a batch of two
+    rng = _rng("grad/lstm_scan")
     seq2 = Tensor(rng.uniform(-1, 1, (4, 2, 3)), requires_grad=True)
     dirs = []
     for reverse in (False, True):
@@ -267,6 +267,7 @@ def _pipeline_checks(rng: np.random.Generator) -> list[CheckResult]:
     # eval-mode BN folded into the convs (no tape) against the taped block op,
     # at the toy size with one strip's running statistics and random affine
     # parameters; one narrow strip keeps the benchmark's memory baseline
+    rng = _rng("eval/bn_fold")
     toy = Backbone(BackboneConfig(), rng)
     for st in toy.norm_states().values():
         st.momentum = 1.0
@@ -281,6 +282,7 @@ def _pipeline_checks(rng: np.random.Generator) -> list[CheckResult]:
 
     # the residual block op, FD over its input and every parameter: both
     # shortcut kinds, batch statistics and taped eval, a batch of two
+    rng = _rng("grad/basic_block")
     worst = 0.0
     for in_ch, out_ch, stride in ((3, 3, 1), (3, 4, 2)):
         block = BasicBlock(rng, in_ch, out_ch, stride)

@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -310,22 +311,32 @@ def _same_pad(extent: int, k: int, stride: int) -> tuple[int, int, int]:
 # 1/P of it, so its columns stay within the same bound.
 _COLS_CHUNK = 1 << 22
 
-# A conv splits its batch across the cores when its work, 2·K·C·kh·kw·N·Ho·Wo,
-# is at least this many FLOP. The largest conv of the toy training configs is
-# 1.04e8 FLOP (stage0 and stage1, batch 8 at width 88), and the smallest 3×3
-# conv of a paper-scale residual block is 5.3e8 (stage1's first, batch 8 at
-# width 56), so the line sits between them. Below it, handing a range to another thread and
-# halving the chunks cost more than the second core saves: splitting every
-# conv slowed a long-line training step (batch 2, no conv above 6.4e6 FLOP)
-# from 55 to 64 ms on a 2-core machine.
-_SPLIT_FLOP = 2.5e8
+# A conv splits its batch across the cores, forward and backward, when its
+# work 2·K·C·kh·kw·N·Ho·Wo is at least this many FLOP. A per-conv sweep on a
+# 2-core Xeon KVM guest (one BLAS thread, both cores free; the speed-up of the
+# split over the serial engine, on the fastest of 30 interleaved runs each):
+#   toy, batch 8 at widths 56/72/88:
+#     3×3 block convs, 3.3e7-1.04e8: forward 0.91-1.96×, backward 1.11-1.96×;
+#     1×1 projections, 3.7e6-5.8e6: forward 0.55-1.03×, backward 0.75-1.58×;
+#     stem, 4.1e6-6.5e6: forward 0.73-0.84×, backward 0.78-0.93×;
+#   long-line, batch 2 at widths 280/344: the stage-0 convs, 5.2e6-6.3e6,
+#     forward 0.99-1.10× and backward 1.16-1.34×; every other conv, at most
+#     1.6e6, 0.28-0.97×;
+#   paper-scale stem forward, batch 8, 1.65e7-2.6e7: 1.2×.
+# So the break-even lies near 5e6 for a backward and near 3e7 for a deep-stage
+# forward. The line sits between the largest toy stem or projection and
+# long-line conv (6.5e6) and the smallest 3×3 toy block conv (3.3e7): all 8
+# of those split, 97% of a toy step's conv FLOP, and a long-line step stays
+# serial. At paper scale every block conv and projection splits, and the stem
+# from width 72 up.
+_SPLIT_FLOP = 2e7
 
 # The cores this process may run on; a split conv runs at most this many ranges.
 _CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 def _new_pool() -> None:
-    """Build ``_POOL``, the threads that run a split conv's ranges after the first.
+    """Build ``_POOL``, the threads that claim a split conv's ranges beside the caller.
 
     An executor starts no thread before its first ``submit``, so building it
     at import costs nothing. A forked child has none of its parent's
@@ -347,8 +358,9 @@ def _scratch(size: int, slot: str = "cols") -> np.ndarray:
     Slot ``cols`` holds one chunk's im2col columns, in the forward and again
     in a taped conv's backward, where it then holds the chunk's column
     gradient. Slots ``cols1``, ``cols2``, ... hold the columns of the other
-    ranges of a split ``conv2d_cnhw``. Slot ``col2im`` holds a taped conv's
-    padded input gradient. All live as long as the thread, so the training
+    ranges of a split ``conv2d_cnhw`` or ``_conv_backward``. Slot ``col2im``
+    holds a taped conv's padded input gradient; each range of a split
+    backward writes only its own samples of it. All live as long as the thread, so the training
     and eval paths stop allocating, and page-faulting, their largest
     temporaries per call.
 
@@ -406,6 +418,69 @@ def _column_chunks(x: np.ndarray, kh: int, kw: int, sh: int, sw: int, budget: in
     return chunks()
 
 
+def _sample_ranges(x: np.ndarray, kh: int, kw: int, sh: int, sw: int, flop: int) -> list:
+    """A conv's batch as ``(lo, chunks)`` per sample range, for ``_run_ranges``.
+
+    A conv over channel-major ``x`` whose work ``flop``, 2·K·C·kh·kw·N·Ho·Wo,
+    reaches ``_SPLIT_FLOP`` gets P = min(N, ``_CORES``) contiguous ranges, as
+    even as whole samples allow with the larger first (5 = 3 + 2); a smaller
+    conv gets one. Range i starts at sample ``lo`` and iterates the
+    ``_column_chunks`` of its samples with a budget of ``_COLS_CHUNK // P``
+    elements, in the calling thread's scratch slot ``cols`` (i = 0) or
+    ``cols{i}``, so a split conv's columns stay within one unsplit chunk's.
+    """
+    n = x.shape[1]
+    p = 1 if flop < _SPLIT_FLOP else max(1, min(n, _CORES))
+    bounds = [i * (n // p) + min(i, n % p) for i in range(p + 1)]
+    return [
+        (lo, _column_chunks(x[:, lo:hi], kh, kw, sh, sw, _COLS_CHUNK // p, f"cols{i}" if i else "cols"))
+        for i, (lo, hi) in enumerate(zip(bounds, bounds[1:]))
+    ]
+
+
+def _run_ranges(tasks: Sequence[Callable[[], None]]) -> None:
+    """Run each of ``tasks`` exactly once, on the calling thread and ``_POOL``.
+
+    The tasks sit in one list, and the caller and one pool job per task
+    after the first each claim the next task under a lock until the list is
+    empty. The caller then waits only for the tasks a pool thread has
+    already started, never for a pool job that has not woken yet: the
+    work-first rule of Cilk (Blumofe & Leiserson, JACM 1999). So when the
+    other cores are busy, the caller runs every task itself instead of
+    stalling. A task that raises does not stop the others; the first
+    exception reaches the caller once every task has stopped, and a pool job
+    that wakes after that finds the list empty.
+    """
+    todo = list(reversed(tasks))
+    idle = threading.Condition()
+    running = 0
+    errors: list[BaseException] = []
+
+    def drain() -> None:
+        nonlocal running
+        while True:
+            with idle:
+                if not todo:
+                    return
+                task = todo.pop()
+                running += 1
+            try:
+                task()
+            except BaseException as exc:  # raised again on the caller
+                errors.append(exc)
+            with idle:
+                running -= 1
+                idle.notify_all()
+
+    for _ in tasks[1:]:
+        _POOL.submit(drain)
+    drain()
+    with idle:
+        idle.wait_for(lambda: running == 0)  # the next call reuses the ranges' buffers
+    if errors:
+        raise errors[0]
+
+
 def conv2d_cnhw(
     x: np.ndarray,
     w: np.ndarray,
@@ -430,16 +505,16 @@ def conv2d_cnhw(
     batch into P = min(N, ``_CORES``) contiguous sample ranges, the per-core
     batch split of Caffe con Troll (Hadjis et al., arXiv:1504.04343), which
     also spreads the im2col copies and the epilogue that a threaded BLAS
-    would leave on one core. The calling thread runs the first range and
-    ``_POOL`` the others. Each range has its own chunk loop with a budget of
-    ``_COLS_CHUNK // P`` elements, in its own scratch slot of the calling
-    thread, and writes its own column blocks of the one output; an exception
-    raised in any range reaches the caller once every range has stopped.
-    The threshold sits above every conv of the toy training configs and
-    below every 3×3 conv of a paper-scale residual block (see
-    ``_SPLIT_FLOP``); smaller calls, and every call when P = 1, run the same
-    range loop inline. The pool threads run only this numpy loop and never
-    read or record onto a tape.
+    would leave on one core. ``_sample_ranges`` sets P and gives each range
+    its own chunk loop with a budget of ``_COLS_CHUNK // P`` elements, in its
+    own scratch slot of the calling thread; ``_run_ranges`` runs the ranges,
+    claimed by the caller and ``_POOL`` alike, and each writes its own column
+    blocks of the one output. An exception raised in any range reaches the
+    caller once every range has stopped. Every 3×3 block conv of the toy and
+    paper-scale configs splits, and no conv of the long-line config (see
+    ``_SPLIT_FLOP``); a smaller call, and every call when P = 1, is one range
+    run inline. The pool threads run only this numpy loop and never read or
+    record onto a tape.
     """
     k, _, kh, kw = w.shape
     sh, sw = stride
@@ -449,7 +524,6 @@ def conv2d_cnhw(
     hw = ho * wo
     out = np.empty((k, n, ho, wo))
     flat = out.reshape(k, -1)
-    p = 1 if 2 * wmat.size * n * hw < _SPLIT_FLOP else max(1, min(n, _CORES))
 
     def run(lo: int, chunks) -> None:
         for s, e, cols in chunks:
@@ -465,19 +539,7 @@ def conv2d_cnhw(
             if relu:
                 np.maximum(y, 0.0, out=y)
 
-    # ranges as even as whole samples allow, the larger first (5 = 3 + 2)
-    bounds = [i * (n // p) + min(i, n % p) for i in range(p + 1)]
-    ranges = [
-        (lo, _column_chunks(x[:, lo:hi], kh, kw, sh, sw, _COLS_CHUNK // p, f"cols{i}" if i else "cols"))
-        for i, (lo, hi) in enumerate(zip(bounds, bounds[1:]))
-    ]
-    futures = [_POOL.submit(run, *r) for r in ranges[1:]]
-    try:
-        run(*ranges[0])
-    finally:
-        wait(futures)  # the next call reuses the ranges' buffers
-    for f in futures:
-        f.result()
+    _run_ranges([partial(run, *r) for r in _sample_ranges(x, kh, kw, sh, sw, 2 * wmat.size * n * hw)])
     return out
 
 
@@ -488,12 +550,19 @@ def _conv_backward(
 
     ``x`` and ``g`` are channel-major, (C, N, H, W) and (K, N, Ho, Wo); a
     contiguous ``g`` hands each chunk's (K, n·Ho·Wo) block over as a view.
-    The batch runs in the forward's chunks, and each chunk's columns are
-    rebuilt in the reused ``cols`` scratch: dW accumulates ``g @ cols.T``,
-    and, when dX is needed, ``W.T @ g`` overwrites the columns and col2im
-    adds it into the reused ``col2im`` buffer, zeroed once per call. dX is a
-    (C, N, H, W) view of that buffer, so it must be consumed (copied, added
-    or multiplied into another array) before the next conv backward runs.
+    The batch runs in the forward's sample ranges and chunks
+    (``_sample_ranges``, run by ``_run_ranges``), so a conv whose work
+    reaches ``_SPLIT_FLOP`` splits its backward across the cores as its
+    forward. Each chunk's columns are rebuilt in its range's scratch slot:
+    the range's own dW accumulates ``g @ cols.T`` through its own product
+    buffer, and, when dX is needed, ``W.T @ g`` overwrites the columns and
+    col2im adds it into the chunk's samples of the reused ``col2im`` buffer,
+    zeroed chunk by chunk, so ranges write disjoint slices. The accumulators
+    and product buffers are taken here on the calling thread, and the
+    partial dWs are summed in range order, so the result does not depend on
+    which thread ran which range. dX is a (C, N, H, W) view of the
+    ``col2im`` buffer, so it must be consumed (copied, added or multiplied
+    into another array) before the next conv backward runs.
     """
     c, n, h, wd = x.shape
     k, _, kh, kw = w.shape
@@ -501,22 +570,29 @@ def _conv_backward(
     ho, pt, pb = _same_pad(h, kh, sh)
     wo, pl, pr = _same_pad(wd, kw, sw)
     wmat = w.reshape(k, -1)
-    dw = np.zeros_like(wmat)
+    ranges = _sample_ranges(x, kh, kw, sh, sw, 2 * wmat.size * n * ho * wo)
+    dws = np.zeros((len(ranges),) + wmat.shape)
+    prods = np.empty_like(dws)
     if need_dx:
         hp, wp = h + pt + pb, wd + pl + pr
         dxp = _scratch(c * n * hp * wp, "col2im").reshape(c, n, hp, wp)
-        dxp.fill(0.0)
-    for s, e, cols in _column_chunks(x, kh, kw, sh, sw, _COLS_CHUNK):
-        g2 = g[:, s:e].reshape(k, -1)
-        cmat = cols.reshape(wmat.shape[1], -1)
-        dw += g2 @ cmat.T
-        if need_dx:
-            np.matmul(wmat.T, g2, out=cmat)  # the chunk's column gradient
-            for i in range(kh):
-                for j in range(kw):
-                    dxp[:, s:e, i : i + sh * ho : sh, j : j + sw * wo : sw] += cols[:, i, j]
+
+    def run(lo: int, chunks, dw: np.ndarray, prod: np.ndarray) -> None:
+        for s, e, cols in chunks:
+            s, e = lo + s, lo + e
+            g2 = g[:, s:e].reshape(k, -1)
+            cmat = cols.reshape(wmat.shape[1], -1)
+            dw += np.matmul(g2, cmat.T, out=prod)
+            if need_dx:
+                np.matmul(wmat.T, g2, out=cmat)  # the chunk's column gradient
+                dxp[:, s:e] = 0.0
+                for i in range(kh):
+                    for j in range(kw):
+                        dxp[:, s:e, i : i + sh * ho : sh, j : j + sw * wo : sw] += cols[:, i, j]
+
+    _run_ranges([partial(run, *r, dw, prod) for r, dw, prod in zip(ranges, dws, prods)])
     dx = dxp[:, :, pt : pt + h, pl : pl + wd] if need_dx else None
-    return dw.reshape(w.shape), dx
+    return dws.sum(axis=0).reshape(w.shape), dx
 
 
 def conv2d(
@@ -540,7 +616,7 @@ def conv2d(
     or not, and the result is the NCHW view of its output. A tape keeps only
     the input and the weights, not the columns (9× the input for a 3×3
     kernel). The pull is ``_conv_backward``, which rebuilds each chunk's
-    columns in the reused ``cols`` scratch, trading one extra im2col per conv
+    columns in the reused scratch, trading one extra im2col per conv
     for the stored columns (recompute-for-memory, Chen et al.,
     arXiv:1604.06174). Two invariants make it sound:
 

@@ -11,6 +11,7 @@ from textrec.backbone import (
     BasicBlock,
     map_to_sequence,
 )
+from textrec.datagen import rendered_width
 from textrec.errors import ShapeError
 from textrec.gradcheck import check_gradients
 from textrec.tensor import Tape, Tensor, add, mul, relu, scale_channels, sum_all, tanh
@@ -296,6 +297,46 @@ class TestBnFold:
             assert p.grad is not None and np.any(p.grad != 0.0), name
         for k, s in bb.norm_states().items():
             assert np.array_equal(s.running_mean, stats[k][0]) and np.array_equal(s.running_var, stats[k][1])
+
+
+def conv_work(cfg: BackboneConfig, n: int, w: int, h: int = 32) -> dict[str, int]:
+    """The work 2·K·C·kh·kw·N·Ho·Wo of every backbone conv, by name, at batch n and input size h×w."""
+    bb = Backbone(cfg, np.random.default_rng(0))
+
+    def work(conv, h, w):
+        k, c, kh, kw = conv.weight.shape
+        return 2 * k * c * kh * kw * n * -(-h // conv.stride[0]) * -(-w // conv.stride[1])
+
+    out = {"stem": work(bb.stem_conv, h, w)}
+    for s, blocks in enumerate(bb.stages):
+        for b, block in enumerate(blocks):
+            name = f"stage{s}.block{b}"
+            out[f"{name}.conv1"] = work(block.conv1, h, w)
+            if block.proj is not None:
+                out[f"{name}.proj"] = work(block.proj, h, w)
+            h, w = -(-h // block.conv1.stride[0]), -(-w // block.conv1.stride[1])
+            out[f"{name}.conv2"] = work(block.conv2, h, w)
+    return out
+
+
+class TestSplitThreshold:
+    """Which convs of the two training configs split their batch across cores."""
+
+    def test_toy_training_splits_every_3x3_block_conv_only(self):
+        # batch 8 at the widths of the default label lengths 3-5
+        assert [rendered_width(n) for n in range(3, 6)] == [56, 72, 88]
+        for w in (56, 72, 88):
+            work = conv_work(BackboneConfig(), 8, w)
+            split = {name for name, f in work.items() if f >= T._SPLIT_FLOP}
+            assert split == {name for name in work if name.endswith(("conv1", "conv2"))}, w
+            assert len(split) == 8
+
+    def test_long_line_training_splits_no_conv(self):
+        # batch 2 at the widths of label lengths 16-20
+        widths = [rendered_width(n) for n in range(16, 21)]
+        assert (widths[0], widths[-1]) == (280, 344)
+        for w in widths:
+            assert max(conv_work(BackboneConfig(stage_channels=(4, 4, 8, 8)), 2, w).values()) < T._SPLIT_FLOP
 
 
 class TestAttention:

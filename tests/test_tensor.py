@@ -1,7 +1,9 @@
 import multiprocessing
 import sys
 import threading
+import time
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -433,10 +435,26 @@ def split_operands(kernel, stride, n, epilogue):
     return (x, w, stride), extra
 
 
+def on_caller_or_pool(thread_name):
+    return thread_name == threading.current_thread().name or thread_name.startswith("textrec-conv")
+
+
+def fail_second_range(windows):
+    """``_windows`` that raises on the 2-sample chunk: the second range of an N = 5 split, on any thread."""
+
+    def fail(xs, *a):
+        if xs.shape[1] == 2:
+            raise FloatingPointError("range failed")
+        return windows(xs, *a)
+
+    return fail
+
+
 class TestSplitConv:
-    """conv2d_cnhw over sample ranges on two threads, on any machine: the
-    threshold and the core count are patched, and the serial engine is the
-    same code with the threshold at infinity."""
+    """conv2d_cnhw over sample ranges run by ``_run_ranges``, on any machine:
+    the threshold and the core count are patched, and the serial engine is
+    the same code with the threshold at infinity. The caller and the pool
+    both claim ranges, so no test assumes which thread runs which range."""
 
     @staticmethod
     def serial(monkeypatch, args, kwargs):
@@ -446,12 +464,12 @@ class TestSplitConv:
 
     @staticmethod
     def traced(monkeypatch):
-        """Record (thread, samples) per chunk and (slot, size) per scratch request."""
+        """Record (thread name, samples) per chunk and (slot, size) per scratch request."""
         chunks, requests = [], []
         windows, scratch = T._windows, T._scratch
 
         def record_windows(xs, *a):
-            chunks.append((threading.get_ident(), xs.shape[1]))
+            chunks.append((threading.current_thread().name, xs.shape[1]))
             return windows(xs, *a)
 
         def record_scratch(size, slot="cols"):
@@ -486,7 +504,7 @@ class TestSplitConv:
         else:
             assert np.array_equal(got, want)
         p = min(n, 2)
-        assert len({thread for thread, _ in chunks}) == p
+        assert all(on_caller_or_pool(thread) for thread, _ in chunks)
         assert [slot for slot, _ in requests] == ["cols", "cols1"][:p]
         assert all(size <= max(T._COLS_CHUNK // p, sample) for _, size in requests)
         assert sum(samples for _, samples in chunks) == n
@@ -500,11 +518,12 @@ class TestSplitConv:
         monkeypatch.setattr(T, "_SPLIT_FLOP", work + 1)
         chunks, requests = self.traced(monkeypatch)
         below = T.conv2d_cnhw(*args, **kwargs)
-        assert {thread for thread, _ in chunks} == {threading.get_ident()}
+        assert {thread for thread, _ in chunks} == {threading.current_thread().name}
         assert [slot for slot, _ in requests] == ["cols"]
         monkeypatch.setattr(T, "_SPLIT_FLOP", work)
+        del requests[:]
         at = T.conv2d_cnhw(*args, **kwargs)
-        assert len({thread for thread, _ in chunks}) == 2
+        assert [slot for slot, _ in requests] == ["cols", "cols1"]  # two ranges, whichever threads ran them
         assert rel_gap(at, below) <= 1e-12
 
     def test_worker_exception_reaches_caller_and_next_call_succeeds(self, monkeypatch):
@@ -512,16 +531,8 @@ class TestSplitConv:
         monkeypatch.setattr(T, "_SPLIT_FLOP", 0)
         monkeypatch.setattr(T, "_CORES", 2)
         want = T.conv2d_cnhw(*args, **kwargs)
-        caller = threading.get_ident()
-        windows = T._windows
-
-        def fail_off_caller(*a):
-            if threading.get_ident() != caller:
-                raise FloatingPointError("range failed")
-            return windows(*a)
-
         with monkeypatch.context() as m:
-            m.setattr(T, "_windows", fail_off_caller)
+            m.setattr(T, "_windows", fail_second_range(T._windows))
             with pytest.raises(FloatingPointError, match="range failed"):
                 T.conv2d_cnhw(*args, **kwargs)
         assert np.array_equal(T.conv2d_cnhw(*args, **kwargs), want)
@@ -582,6 +593,151 @@ class TestSplitConv:
         assert not t.is_alive() and len(theirs) == 1
         assert not np.shares_memory(mine, theirs[0])
         assert np.shares_memory(mine, T._scratch(64, "cols"))  # reused on the same thread
+
+
+def backward_operands(kernel, stride, n, nchw_grad):
+    """Channel-major ``_conv_backward`` arguments with dX needed. With ``nchw_grad`` the
+    output gradient is the channel-major view of an NCHW array, as ``conv2d``'s pull hands
+    it over; otherwise it is contiguous, as the residual block's pull hands it over."""
+    r = rng()
+    x = r.uniform(-2, 2, (2, n, 5, 7))
+    w = r.uniform(-1, 1, (3, 2) + kernel)
+    ho, wo = -(-5 // stride[0]), -(-7 // stride[1])
+    g = r.uniform(-1, 1, (n, 3, ho, wo)).transpose(1, 0, 2, 3) if nchw_grad else r.uniform(-1, 1, (3, n, ho, wo))
+    return x, w, stride, g, True
+
+
+def split_backward(args):
+    """dW and a copy of the dX view of one ``_conv_backward`` call."""
+    dw, dx = T._conv_backward(*args)
+    return dw, dx.copy()
+
+
+class TestSplitBackward:
+    """``_conv_backward`` over the forward's sample ranges, patched as in ``TestSplitConv``."""
+
+    @staticmethod
+    def split(monkeypatch):
+        monkeypatch.setattr(T, "_SPLIT_FLOP", 0)
+        monkeypatch.setattr(T, "_CORES", 2)
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    @pytest.mark.parametrize("kernel,stride,padding,bias", SAME_GRID)
+    def test_split_equals_serial(self, monkeypatch, kernel, stride, padding, bias, n):
+        # bias selects the NCHW-view gradient; N = 1, 2, 5 runs ranges of 1, 1+1 and 3+2
+        # samples, whose partial dWs are summed, so dW may round differently from one sum
+        args = backward_operands(kernel, stride, n, bias)
+        with monkeypatch.context() as m:
+            m.setattr(T, "_SPLIT_FLOP", float("inf"))
+            want = split_backward(args)
+        self.split(monkeypatch)
+        chunks, requests = TestSplitConv.traced(monkeypatch)
+        got = split_backward(args)
+        for a, b in zip(got, want):
+            assert a.shape == b.shape and rel_gap(a, b) <= 1e-12
+        assert [slot for slot, _ in requests] == ["cols", "cols1"][: min(n, 2)] + ["col2im"]
+        assert all(on_caller_or_pool(thread) for thread, _ in chunks)
+        assert sorted(samples for _, samples in chunks) == sorted([n // 2 + n % 2, n // 2][: min(n, 2)])
+
+    def test_repeated_split_calls_are_bitwise_equal(self, monkeypatch):
+        # the partial dWs are summed in range order, whichever thread ran which range
+        args = backward_operands((3, 3), (1, 1), 5, False)
+        self.split(monkeypatch)
+        first = split_backward(args)
+        for _ in range(20):
+            for a, b in zip(split_backward(args), first):
+                assert np.array_equal(a, b)
+
+    def test_stalled_pool_leaves_every_range_to_the_caller(self, monkeypatch):
+        # a pool whose only thread is busy, as when the second core is unavailable:
+        # the caller claims both ranges instead of waiting for the pool to wake
+        args = backward_operands((3, 3), (2, 2), 5, False)
+        with monkeypatch.context() as m:
+            m.setattr(T, "_SPLIT_FLOP", float("inf"))
+            want = split_backward(args)
+        self.split(monkeypatch)
+        pool, release = ThreadPoolExecutor(1, thread_name_prefix="textrec-conv"), threading.Event()
+        monkeypatch.setattr(T, "_POOL", pool)
+        pool.submit(release.wait, 30)
+        try:
+            chunks, _ = TestSplitConv.traced(monkeypatch)
+            got = split_backward(args)
+        finally:
+            release.set()
+            pool.shutdown(wait=True)
+        assert [samples for _, samples in chunks] == [3, 2]
+        assert {thread for thread, _ in chunks} == {threading.current_thread().name}
+        for a, b in zip(got, want):
+            assert rel_gap(a, b) <= 1e-12
+
+    def test_range_exception_reaches_caller_and_next_call_succeeds(self, monkeypatch):
+        args = backward_operands((3, 3), (2, 2), 5, True)
+        self.split(monkeypatch)
+        want = split_backward(args)
+        with monkeypatch.context() as m:
+            m.setattr(T, "_windows", fail_second_range(T._windows))
+            with pytest.raises(FloatingPointError, match="range failed"):
+                T._conv_backward(*args)
+        for a, b in zip(split_backward(args), want):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="no fork on this platform")
+    def test_forked_child_runs_split_backward(self, monkeypatch):
+        args = backward_operands((3, 3), (1, 1), 5, False)
+        self.split(monkeypatch)
+        want = split_backward(args)
+        ctx = multiprocessing.get_context("fork")
+        results = ctx.Queue()
+        child = ctx.Process(target=lambda: results.put(split_backward(args)))
+        child.start()
+        try:
+            got = results.get(timeout=30)
+        finally:
+            child.join(timeout=10)
+            if child.is_alive():
+                child.kill()
+        assert child.exitcode == 0
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+
+
+class TestRunRanges:
+    def test_each_task_runs_exactly_once(self):
+        for count in (1, 2, 7):
+            ran = []
+            T._run_ranges([lambda i=i: ran.append(i) for i in range(count)])
+            assert sorted(ran) == list(range(count))
+
+    def test_the_pool_claims_a_range_the_caller_leaves(self):
+        # whichever thread claims first holds its range until another thread has
+        # claimed the second one, so both threads must have run a range
+        order, claimed, threads = iter(range(2)), threading.Event(), []
+
+        def first_waits_for_second():
+            threads.append(threading.current_thread().name)
+            if next(order) == 0:  # one step of a range iterator is atomic
+                assert claimed.wait(timeout=30)
+            else:
+                claimed.set()
+
+        T._run_ranges([first_waits_for_second, first_waits_for_second])
+        assert len(set(threads)) == 2 and all(on_caller_or_pool(t) for t in threads)
+
+    def test_exception_arrives_after_every_started_range_stops(self):
+        # the pool's range fails at once while the caller's is still running, or the
+        # other way round; the call returns only when both have stopped
+        order, finished = iter(range(2)), []
+
+        def task():
+            if next(order) == 0:
+                time.sleep(0.2)
+                finished.append(True)
+            else:
+                raise FloatingPointError("range failed")
+
+        with pytest.raises(FloatingPointError, match="range failed"):
+            T._run_ranges([task, task])
+        assert finished == [True]
 
 
 class TestBackward:
