@@ -107,8 +107,11 @@ def _op_gradient_checks() -> list[CheckResult]:
         err = check_gradients(build, leaves, max_probe=64, rng=rng)
         checks.append(CheckResult(f"grad/{name}", err, tol))
 
-    same = lambda v: v  # noqa: E731
-    for name, op in (("mul", same), ("sigmoid", sigmoid), ("tanh", tanh), ("relu", relu), ("softmax_rows", softmax_rows)):
+    def same(v: Tensor) -> Tensor:
+        return v
+
+    unary = (("mul", same), ("sigmoid", sigmoid), ("tanh", tanh), ("relu", relu), ("softmax_rows", softmax_rows))
+    for name, op in unary:
         rng = _rng(f"grad/{name}")
         x = Tensor(rng.uniform(-2, 2, (4, 5)), requires_grad=True)
         y = Tensor(rng.uniform(-2, 2, (4, 5)), requires_grad=True)

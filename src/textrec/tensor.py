@@ -360,9 +360,9 @@ def _scratch(size: int, slot: str = "cols") -> np.ndarray:
     gradient. Slots ``cols1``, ``cols2``, ... hold the columns of the other
     ranges of a split ``conv2d_cnhw`` or ``_conv_backward``. Slot ``col2im``
     holds a taped conv's padded input gradient; each range of a split
-    backward writes only its own samples of it. All live as long as the thread, so the training
-    and eval paths stop allocating, and page-faulting, their largest
-    temporaries per call.
+    backward writes only its own samples of it. All live as long as the
+    thread, so the training and eval paths stop allocating, and
+    page-faulting, their largest temporaries per call.
 
     Every thread has its own buffers, so callers on different threads never
     share one. A split conv takes all its ranges' buffers on the calling

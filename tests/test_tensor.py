@@ -640,13 +640,66 @@ class TestSplitBackward:
         assert sorted(samples for _, samples in chunks) == sorted([n // 2 + n % 2, n // 2][: min(n, 2)])
 
     def test_repeated_split_calls_are_bitwise_equal(self, monkeypatch):
-        # the partial dWs are summed in range order, whichever thread ran which range
+        # three ranges (2 + 2 + 1 samples), whose partial dWs would round differently
+        # if they were summed in the order the threads finished rather than in range order
         args = backward_operands((3, 3), (1, 1), 5, False)
         self.split(monkeypatch)
+        monkeypatch.setattr(T, "_CORES", 3)
         first = split_backward(args)
         for _ in range(20):
             for a, b in zip(split_backward(args), first):
                 assert np.array_equal(a, b)
+
+    def test_concurrent_callers_stress(self, monkeypatch):
+        # more ranges than pool threads and more callers than cores, with frequent thread
+        # switches: a range that wrote another's dW accumulator or col2im samples would show
+        cases = [backward_operands(k, s, 5, nchw) for k, s, nchw in [((3, 3), (1, 1), False), ((3, 1), (2, 1), True)]]
+        monkeypatch.setattr(T, "_SPLIT_FLOP", 0)
+        monkeypatch.setattr(T, "_CORES", 3)
+        wants = [split_backward(args) for args in cases]
+        bad = []
+
+        def caller(offset):
+            for i in range(30):
+                j = (i + offset) % len(cases)
+                if not all(np.array_equal(a, b) for a, b in zip(split_backward(cases[j]), wants[j])):
+                    bad.append(j)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=caller, args=(k,)) for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert bad == []
+
+    def test_ranges_running_together_keep_their_own_buffers(self, monkeypatch):
+        # both ranges reach their GEMMs at once, on two threads, as on two free cores;
+        # a dW accumulator, product buffer or column slot shared between ranges would show
+        r = rng()
+        x, w, g = r.uniform(-1, 1, (16, 2, 16, 32)), r.uniform(-1, 1, (32, 16, 3, 3)), r.uniform(-1, 1, (32, 2, 16, 32))
+        args = (x, w, (1, 1), g, True)
+        with monkeypatch.context() as m:
+            m.setattr(T, "_SPLIT_FLOP", float("inf"))
+            want = split_backward(args)
+        self.split(monkeypatch)
+        together, windows, threads = threading.Barrier(2, timeout=30), T._windows, []
+
+        def meet(xs, *a):
+            threads.append(threading.current_thread().name)
+            together.wait()
+            return windows(xs, *a)
+
+        monkeypatch.setattr(T, "_windows", meet)
+        for _ in range(10):
+            for a, b in zip(split_backward(args), want):
+                assert rel_gap(a, b) <= 1e-12
+        assert len(set(threads)) == 2
 
     def test_stalled_pool_leaves_every_range_to_the_caller(self, monkeypatch):
         # a pool whose only thread is busy, as when the second core is unavailable:
