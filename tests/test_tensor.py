@@ -538,18 +538,22 @@ class TestSplitConv:
         assert np.array_equal(T.conv2d_cnhw(*args, **kwargs), want)
 
     def test_concurrent_callers_stress(self, monkeypatch):
-        # more ranges than pool threads and more callers than cores, with frequent
-        # thread switches: a range that wrote another's block or buffer would show
-        cases = [split_operands(k, s, 5, True) for k, s in [((3, 3), (1, 1)), ((3, 1), (2, 1)), ((1, 1), (2, 2))]]
+        # more ranges than pool threads and more callers than cores, with frequent thread
+        # switches, forward and backward: a range that wrote another's output block, column
+        # slot, dW accumulator or col2im samples would show
+        forward = [split_operands(k, s, 5, True) for k, s in [((3, 3), (1, 1)), ((3, 1), (2, 1)), ((1, 1), (2, 2))]]
+        backward = [backward_operands(k, s, 5, nchw) for k, s, nchw in [((3, 3), (1, 1), False), ((3, 1), (2, 1), True)]]
+        calls = [lambda a=a, kw=kw: (T.conv2d_cnhw(*a, **kw),) for a, kw in forward]
+        calls += [lambda a=a: split_backward(a) for a in backward]
         monkeypatch.setattr(T, "_SPLIT_FLOP", 0)
         monkeypatch.setattr(T, "_CORES", 3)
-        wants = [T.conv2d_cnhw(*args, **kwargs) for args, kwargs in cases]
+        wants = [call() for call in calls]
         bad = []
 
         def caller(offset):
             for i in range(30):
-                j = (i + offset) % len(cases)
-                if not np.array_equal(T.conv2d_cnhw(*cases[j][0], **cases[j][1]), wants[j]):
+                j = (i + offset) % len(calls)
+                if not all(np.array_equal(a, b) for a, b in zip(calls[j](), wants[j])):
                     bad.append(j)
 
         interval = sys.getswitchinterval()
@@ -649,34 +653,6 @@ class TestSplitBackward:
         for _ in range(20):
             for a, b in zip(split_backward(args), first):
                 assert np.array_equal(a, b)
-
-    def test_concurrent_callers_stress(self, monkeypatch):
-        # more ranges than pool threads and more callers than cores, with frequent thread
-        # switches: a range that wrote another's dW accumulator or col2im samples would show
-        cases = [backward_operands(k, s, 5, nchw) for k, s, nchw in [((3, 3), (1, 1), False), ((3, 1), (2, 1), True)]]
-        monkeypatch.setattr(T, "_SPLIT_FLOP", 0)
-        monkeypatch.setattr(T, "_CORES", 3)
-        wants = [split_backward(args) for args in cases]
-        bad = []
-
-        def caller(offset):
-            for i in range(30):
-                j = (i + offset) % len(cases)
-                if not all(np.array_equal(a, b) for a, b in zip(split_backward(cases[j]), wants[j])):
-                    bad.append(j)
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            threads = [threading.Thread(target=caller, args=(k,)) for k in range(4)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
-        assert bad == []
 
     def test_ranges_running_together_keep_their_own_buffers(self, monkeypatch):
         # both ranges reach their GEMMs at once, on two threads, as on two free cores;
