@@ -267,9 +267,10 @@ def _pipeline_checks() -> list[CheckResult]:
     err = check_gradients(scans, [seq2] + [t for d in dirs for t in d[:3]], max_probe=None)
     checks.append(CheckResult("grad/lstm_scan", err, 1e-6))
 
-    # eval-mode BN folded into the convs (no tape) against the taped block op,
-    # at the toy size with one strip's running statistics and random affine
-    # parameters; one narrow strip keeps the benchmark's memory baseline
+    # the untracked eval forward against the taped one, at the toy size with
+    # one strip's running statistics and random affine parameters: both run
+    # the frozen BN in the conv epilogue, so they agree bitwise and this reads
+    # 0; one narrow strip keeps the benchmark's memory baseline
     rng = _rng("eval/bn_fold")
     toy = Backbone(BackboneConfig(), rng)
     for st in toy.norm_states().values():

@@ -355,8 +355,8 @@ if hasattr(os, "register_at_fork"):
 def _scratch(size: int, slot: str = "cols") -> np.ndarray:
     """This thread's reusable conv buffer ``slot``, grown to hold ``size`` elements.
 
-    Slot ``cols`` holds one chunk's im2col columns, in the forward and again
-    in a taped conv's backward, where it then holds the chunk's column
+    Slot ``cols`` holds one chunk's im2col columns, in every forward and
+    again in a taped conv's backward, where it then holds the chunk's column
     gradient. Slots ``cols1``, ``cols2``, ... hold the columns of the other
     ranges of a split ``conv2d_cnhw`` or ``_conv_backward``. Slot ``col2im``
     holds a taped conv's padded input gradient; each range of a split
@@ -365,14 +365,15 @@ def _scratch(size: int, slot: str = "cols") -> np.ndarray:
     page-faulting, their largest temporaries per call.
 
     Every thread has its own buffers, so callers on different threads never
-    share one. A split conv takes all its ranges' buffers on the calling
-    thread, and the pool threads only fill them: memory a pool thread
-    allocates comes from its own allocator arena, which cannot reuse what
-    the calling thread's arena already holds (buffers taken on the pool
-    thread cost a paper-scale eval run about 12 MiB more peak RSS). Whatever
-    a caller gets back is overwritten by the next call for the same slot on
-    the same thread, so no op returns a view of it that outlives one tape
-    pull, and a dX view of ``col2im`` is consumed before the next conv
+    share one. A split conv takes every range's buffers on the calling thread
+    before ``_run_ranges`` runs the ranges, so a range fills the slot taken
+    for it on whichever thread runs it, and a pool thread takes no scratch of
+    its own: its memory would come from its own allocator arena, which cannot
+    reuse what the calling thread's arena already holds (buffers taken on the
+    pool thread cost a paper-scale eval run about 12 MiB more peak RSS).
+    Whatever a caller gets back is overwritten by the next call for the same
+    slot on the same thread, so no op returns a view of it that outlives one
+    tape pull, and a dX view of ``col2im`` is consumed before the next conv
     backward runs, even within one pull.
     """
     buf = getattr(_LOCAL, slot, None)
@@ -441,42 +442,27 @@ def _sample_ranges(x: np.ndarray, kh: int, kw: int, sh: int, sw: int, flop: int)
 def _run_ranges(tasks: Sequence[Callable[[], None]]) -> None:
     """Run each of ``tasks`` exactly once, on the calling thread and ``_POOL``.
 
-    The tasks sit in one list, and the caller and one pool job per task
-    after the first each claim the next task under a lock until the list is
-    empty. The caller then waits only for the tasks a pool thread has
-    already started, never for a pool job that has not woken yet: the
-    work-first rule of Cilk (Blumofe & Leiserson, JACM 1999). So when the
-    other cores are busy, the caller runs every task itself instead of
-    stalling. A task that raises does not stop the others; the first
-    exception reaches the caller once every task has stopped, and a pool job
-    that wakes after that finds the list empty.
+    Tasks 1..P−1 go to ``_POOL`` as futures, and the caller runs task 0 and
+    then every task whose future it can still cancel: a future cancels only
+    before a pool thread starts it, so ``cancel()`` is the claim. The caller
+    waits only for the futures a pool thread has started, never for one whose
+    thread has not woken yet: the work-first rule of Cilk (Blumofe &
+    Leiserson, JACM 1999). So when the other cores are busy the caller runs
+    every task itself, and a lone task runs inline with no future. A task that
+    raises does not stop the others; once every task has stopped, the first
+    exception the caller caught, or else the first a started future holds, is
+    raised on the caller.
     """
-    todo = list(reversed(tasks))
-    idle = threading.Condition()
-    running = 0
-    errors: list[BaseException] = []
-
-    def drain() -> None:
-        nonlocal running
-        while True:
-            with idle:
-                if not todo:
-                    return
-                task = todo.pop()
-                running += 1
+    jobs = [_POOL.submit(task) for task in tasks[1:]]
+    errors = []
+    for task, job in zip(tasks, [None, *jobs]):
+        if job is None or job.cancel():
             try:
                 task()
-            except BaseException as exc:  # raised again on the caller
+            except BaseException as exc:  # raised again on the caller once every task has stopped
                 errors.append(exc)
-            with idle:
-                running -= 1
-                idle.notify_all()
-
-    for _ in tasks[1:]:
-        _POOL.submit(drain)
-    drain()
-    with idle:
-        idle.wait_for(lambda: running == 0)  # the next call reuses the ranges' buffers
+    # the next call reuses the ranges' buffers, so wait for the jobs a pool thread started
+    errors += [exc for job in jobs if not job.cancelled() and (exc := job.exception())]
     if errors:
         raise errors[0]
 
@@ -487,19 +473,18 @@ def conv2d_cnhw(
     stride: tuple[int, int] = (1, 1),
     scale: np.ndarray | None = None,
     shift: np.ndarray | None = None,
-    residual: np.ndarray | None = None,
-    relu: bool = False,
 ) -> np.ndarray:
     """Same-padded conv of a channel-major (C, N, H, W) array, with no tape.
 
     Returns a fresh (K, N, Ho, Wo) array: the conv output times ``scale``
-    plus ``shift`` (per output channel), plus ``residual``, then ReLU'd if
-    ``relu``; each step is skipped when not given. The batch runs in the
-    whole-sample chunks of ``_column_chunks``. Channel-major output is what
-    the GEMM writes, so each chunk's ``W @ cols`` lands straight in its
-    column block of the output, and the rest of the chain runs in place on
-    that block. One GEMM per chunk rather than one per sample keeps the deep
-    stages, whose samples have few output pixels, GEMM-bound.
+    plus ``shift`` (per output channel), each step skipped when not given;
+    eval-mode BN passes its frozen normalization this way. The batch runs in
+    the whole-sample chunks of ``_column_chunks``. Channel-major output is
+    what the GEMM writes, so each chunk's ``W @ cols`` lands straight in its
+    column block of the output, and the scale and shift run in place on
+    that block while it is in cache. One GEMM per chunk rather than one per
+    sample keeps the deep stages, whose samples have few output pixels,
+    GEMM-bound.
 
     A call whose work 2·K·C·kh·kw·N·Ho·Wo reaches ``_SPLIT_FLOP`` splits its
     batch into P = min(N, ``_CORES``) contiguous sample ranges, the per-core
@@ -507,11 +492,11 @@ def conv2d_cnhw(
     also spreads the im2col copies and the epilogue that a threaded BLAS
     would leave on one core. ``_sample_ranges`` sets P and gives each range
     its own chunk loop with a budget of ``_COLS_CHUNK // P`` elements, in its
-    own scratch slot of the calling thread; ``_run_ranges`` runs the ranges,
-    claimed by the caller and ``_POOL`` alike, and each writes its own column
-    blocks of the one output. An exception raised in any range reaches the
-    caller once every range has stopped. Every 3×3 block conv of the toy and
-    paper-scale configs splits, and no conv of the long-line config (see
+    own scratch slot of the calling thread; ``_run_ranges`` runs the ranges
+    on the caller and ``_POOL``, and each writes its own column blocks of the
+    one output. An exception raised in any range reaches the caller once
+    every range has stopped. Every 3×3 block conv of the toy and paper-scale
+    configs splits, and no conv of the long-line config (see
     ``_SPLIT_FLOP``); a smaller call, and every call when P = 1, is one range
     run inline. The pool threads run only this numpy loop and never read or
     record onto a tape.
@@ -527,17 +512,12 @@ def conv2d_cnhw(
 
     def run(lo: int, chunks) -> None:
         for s, e, cols in chunks:
-            s, e = lo + s, lo + e
-            y = flat[:, s * hw : e * hw]
+            y = flat[:, (lo + s) * hw : (lo + e) * hw]
             np.matmul(wmat, cols.reshape(wmat.shape[1], -1), out=y)
             if scale is not None:
                 y *= scale[:, None]
             if shift is not None:
                 y += shift[:, None]
-            if residual is not None:
-                out[:, s:e] += residual[:, s:e]
-            if relu:
-                np.maximum(y, 0.0, out=y)
 
     _run_ranges([partial(run, *r) for r in _sample_ranges(x, kh, kw, sh, sw, 2 * wmat.size * n * hw)])
     return out

@@ -155,13 +155,6 @@ class TestConv2d:
         with pytest.raises(ShapeError):
             T.conv2d(Tensor(np.zeros((1, 2, 4, 4))), Tensor(np.zeros((1, 3, 3, 3))))
 
-    def test_gradient_matches_finite_differences(self):
-        r = rng()
-        x = Tensor(r.uniform(-2, 2, (1, 2, 5, 5)), requires_grad=True)
-        k = Tensor(r.uniform(-1, 1, (3, 2, 3, 1)), requires_grad=True)
-        err = check_gradients(lambda: T.sum_all(T.conv2d(x, k, stride=(1, 1))), [x, k])
-        assert err < 1e-6
-
     def test_gradient_with_stride_bias_and_nonlinearity(self):
         r = rng()
         x = Tensor(r.uniform(-2, 2, (2, 2, 6, 5)), requires_grad=True)
@@ -423,16 +416,13 @@ class TestConv2dGrid:
 
 
 def split_operands(kernel, stride, n, epilogue):
-    """Channel-major conv2d_cnhw arguments; with ``epilogue``, scale, shift, residual and ReLU too."""
+    """Channel-major conv2d_cnhw arguments; with ``epilogue``, scale and shift too."""
     r = rng()
     x = r.uniform(-2, 2, (2, n, 5, 7))  # (C, N, H, W), odd H and W
     w = r.uniform(-1, 1, (3, 2) + kernel)
     if not epilogue:
         return (x, w, stride), {}
-    ho, wo = -(-5 // stride[0]), -(-7 // stride[1])
-    extra = dict(scale=r.uniform(0.5, 1.5, 3), shift=r.uniform(-1, 1, 3), residual=r.uniform(-1, 1, (3, n, ho, wo)),
-                 relu=True)
-    return (x, w, stride), extra
+    return (x, w, stride), dict(scale=r.uniform(0.5, 1.5, 3), shift=r.uniform(-1, 1, 3))
 
 
 def on_caller_or_pool(thread_name):
@@ -738,35 +728,46 @@ class TestRunRanges:
             assert sorted(ran) == list(range(count))
 
     def test_the_pool_claims_a_range_the_caller_leaves(self):
-        # whichever thread claims first holds its range until another thread has
-        # claimed the second one, so both threads must have run a range
-        order, claimed, threads = iter(range(2)), threading.Event(), []
+        # the caller's range waits until a pool thread has started the second one, so the
+        # caller cannot cancel that job and must neither run it again nor skip waiting for it
+        started, ran = threading.Event(), []
 
-        def first_waits_for_second():
-            threads.append(threading.current_thread().name)
-            if next(order) == 0:  # one step of a range iterator is atomic
-                assert claimed.wait(timeout=30)
-            else:
-                claimed.set()
+        def caller_range():
+            assert started.wait(timeout=30)
+            ran.append(threading.current_thread().name)
 
-        T._run_ranges([first_waits_for_second, first_waits_for_second])
-        assert len(set(threads)) == 2 and all(on_caller_or_pool(t) for t in threads)
+        def pool_range():
+            started.set()
+            time.sleep(0.05)
+            ran.append(threading.current_thread().name)
+
+        T._run_ranges([caller_range, pool_range])
+        assert len(ran) == 2 and ran[0] == threading.current_thread().name
+        assert ran[1].startswith("textrec-conv")
 
     def test_exception_arrives_after_every_started_range_stops(self):
-        # the pool's range fails at once while the caller's is still running, or the
-        # other way round; the call returns only when both have stopped
-        order, finished = iter(range(2)), []
+        # one range fails while the other, started on its own thread, still runs;
+        # the call returns only when both have stopped
+        for failing in ("caller", "pool"):
+            started, finished = threading.Event(), []
 
-        def task():
-            if next(order) == 0:
+            def caller_range():
+                assert started.wait(timeout=30)
+                if failing == "caller":
+                    raise FloatingPointError("range failed")
                 time.sleep(0.2)
                 finished.append(True)
-            else:
-                raise FloatingPointError("range failed")
 
-        with pytest.raises(FloatingPointError, match="range failed"):
-            T._run_ranges([task, task])
-        assert finished == [True]
+            def pool_range():
+                started.set()
+                if failing == "pool":
+                    raise FloatingPointError("range failed")
+                time.sleep(0.2)
+                finished.append(True)
+
+            with pytest.raises(FloatingPointError, match="range failed"):
+                T._run_ranges([caller_range, pool_range])
+            assert finished == [True], failing
 
 
 class TestBackward:
