@@ -150,7 +150,7 @@ class BasicBlock:
         def affine(xhat: np.ndarray, bn: BatchNorm2d) -> np.ndarray:
             # in place when nothing keeps x̂: a copy per BN raises an untracked block's peak
             # memory from about 3.1× its output to 4.1× (6.1× with a projection) and made
-            # a paper-scale eval forward 2% slower in interleaved runs
+            # a paper-scale eval forward about 3% slower in interleaved runs
             y = np.multiply(xhat, bn.gamma.data[:, None, None, None], out=np.empty_like(xhat) if keep else xhat)
             y += bn.beta.data[:, None, None, None]
             return y
