@@ -17,6 +17,7 @@ import numpy as np
 from .errors import ShapeError
 from .tensor import (
     BatchNormState,
+    Module,
     Tensor,
     _bn_backward,
     _bn_normalize,
@@ -67,7 +68,7 @@ def _he_conv(rng: np.random.Generator, out_ch: int, in_ch: int, kh: int, kw: int
     return parameter(rng.normal(0.0, std, size=(out_ch, in_ch, kh, kw)))
 
 
-class Conv2d:
+class Conv2d(Module):
     """Bias-free convolution layer (normalization supplies the shift)."""
 
     def __init__(self, rng, in_ch: int, out_ch: int, kernel: tuple[int, int], stride=(1, 1)):
@@ -77,11 +78,8 @@ class Conv2d:
     def forward(self, x: Tensor) -> Tensor:
         return conv2d(x, self.weight, stride=self.stride)
 
-    def parameters(self) -> dict[str, Tensor]:
-        return {"w": self.weight}
 
-
-class BatchNorm2d:
+class BatchNorm2d(Module):
     def __init__(self, channels: int):
         self.gamma = parameter(np.ones(channels))
         self.beta = parameter(np.zeros(channels))
@@ -90,11 +88,8 @@ class BatchNorm2d:
     def forward(self, x: Tensor, training: bool) -> Tensor:
         return batch_norm(x, self.gamma, self.beta, self.state, training)
 
-    def parameters(self) -> dict[str, Tensor]:
-        return {"gamma": self.gamma, "beta": self.beta}
 
-
-class BasicBlock:
+class BasicBlock(Module):
     """conv-norm-relu, conv-norm, shortcut add, relu.
 
     The shortcut is the identity unless channels or stride change, in which
@@ -135,7 +130,8 @@ class BasicBlock:
         ``col2im`` scratch is consumed before the next conv backward runs.
         """
         xc = x.data.transpose(1, 0, 2, 3)
-        # parameters() lists each conv's weight, then its BN's γ and β: the order of the gradients
+        # parameters() follows __init__'s assignment order, each conv's weight then its BN's γ and β:
+        # the order of the gradients that pull returns
         inputs = (x, *self.parameters().values())
         keep = tracking(inputs)
 
@@ -197,26 +193,8 @@ class BasicBlock:
 
         return apply_op(out.transpose(1, 0, 2, 3), inputs, pull)
 
-    def parameters(self) -> dict[str, Tensor]:
-        out = {}
-        for name, layer in (("conv1", self.conv1), ("bn1", self.bn1), ("conv2", self.conv2), ("bn2", self.bn2)):
-            for k, v in layer.parameters().items():
-                out[f"{name}.{k}"] = v
-        if self.proj is not None:
-            for k, v in self.proj.parameters().items():
-                out[f"proj.{k}"] = v
-            for k, v in self.proj_bn.parameters().items():
-                out[f"proj_bn.{k}"] = v
-        return out
 
-    def norm_states(self) -> dict[str, BatchNormState]:
-        out = {"bn1": self.bn1.state, "bn2": self.bn2.state}
-        if self.proj_bn is not None:
-            out["proj_bn"] = self.proj_bn.state
-        return out
-
-
-class Backbone:
+class Backbone(Module):
     """Residual feature extractor producing a 1/8-resolution volume."""
 
     def __init__(self, config: BackboneConfig, rng: np.random.Generator):
@@ -253,26 +231,8 @@ class Backbone:
                 x = block.forward(x, training)
         return x
 
-    def parameters(self) -> dict[str, Tensor]:
-        out = {"stem.conv.w": self.stem_conv.weight}
-        for k, v in self.stem_bn.parameters().items():
-            out[f"stem.bn.{k}"] = v
-        for s, stage_blocks in enumerate(self.stages):
-            for b, block in enumerate(stage_blocks):
-                for k, v in block.parameters().items():
-                    out[f"stage{s}.block{b}.{k}"] = v
-        return out
 
-    def norm_states(self) -> dict[str, BatchNormState]:
-        out = {"stem.bn": self.stem_bn.state}
-        for s, stage_blocks in enumerate(self.stages):
-            for b, block in enumerate(stage_blocks):
-                for k, v in block.norm_states().items():
-                    out[f"stage{s}.block{b}.{k}"] = v
-        return out
-
-
-class AttentionModule:
+class AttentionModule(Module):
     """Single-channel sigmoid mask from a 3-high, 1-wide same convolution.
 
     The kernel spans 3 in height and 1 in width, so the mask at a width
@@ -285,9 +245,6 @@ class AttentionModule:
 
     def forward(self, features: Tensor) -> Tensor:
         return sigmoid(conv2d(features, self.conv_w, self.conv_b, stride=(1, 1)))
-
-    def parameters(self) -> dict[str, Tensor]:
-        return {"conv.w": self.conv_w, "conv.b": self.conv_b}
 
 
 def map_to_sequence(features: Tensor) -> Tensor:

@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import ShapeError
 from .tensor import (
+    Module,
     Tensor,
     _sigmoid_raw,
     apply_op,
@@ -133,7 +134,7 @@ def lstm_scan(seq: Tensor, w_x: Tensor, w_h: Tensor, b: Tensor, reverse: bool) -
     return apply_op(hid, (seq, w_x, w_h, b), pull)
 
 
-class LstmDirection:
+class LstmDirection(Module):
     """Single-direction LSTM scanned over a (T, N, F) sequence by ``lstm_scan``.
 
     Gate layout along the 4H axis is (input, forget, cell candidate, output).
@@ -155,24 +156,14 @@ class LstmDirection:
         """Hidden states of every step, (T, N, H), indexed by input position."""
         return lstm_scan(seq, self.w_x, self.w_h, self.bias, self.reverse)
 
-    def parameters(self) -> dict[str, Tensor]:
-        return {"w_x": self.w_x, "w_h": self.w_h, "b": self.bias}
 
-
-class BlstmLayer:
+class BlstmLayer(Module):
     def __init__(self, rng, input_size: int, hidden_size: int):
         self.fwd = LstmDirection(rng, input_size, hidden_size, reverse=False)
         self.bwd = LstmDirection(rng, input_size, hidden_size, reverse=True)
 
     def forward(self, seq: Tensor) -> Tensor:
         return concat([self.fwd.forward(seq), self.bwd.forward(seq)], axis=2)  # (T, N, 2H)
-
-    def parameters(self) -> dict[str, Tensor]:
-        out = {}
-        for d, direction in (("fwd", self.fwd), ("bwd", self.bwd)):
-            for k, v in direction.parameters().items():
-                out[f"{d}.{k}"] = v
-        return out
 
 
 def _check_sequence(seq: Tensor) -> tuple[int, int, int]:
@@ -191,7 +182,7 @@ def _softmax_steps(logits: Tensor) -> Tensor:
     return reshape(flat, (t_len, n, a))
 
 
-class ContextBranch:
+class ContextBranch(Module):
     """Two-layer BLSTM, shared per-step linear map, softmax over the alphabet."""
 
     def __init__(self, input_size: int, config: BlstmConfig, num_classes: int, rng):
@@ -208,17 +199,8 @@ class ContextBranch:
         logits = linear(flat, self.fc_w, self.fc_b)
         return _softmax_steps(reshape(logits, (t_len, n, self.fc_b.size)))
 
-    def parameters(self) -> dict[str, Tensor]:
-        out = {}
-        for name, layer in (("layer1", self.layer1), ("layer2", self.layer2)):
-            for k, v in layer.parameters().items():
-                out[f"{name}.{k}"] = v
-        out["fc.w"] = self.fc_w
-        out["fc.b"] = self.fc_b
-        return out
 
-
-class SupervisionBranch:
+class SupervisionBranch(Module):
     """Position-independent character classifier with weights shared across steps."""
 
     def __init__(self, input_size: int, num_classes: int, rng):
@@ -229,6 +211,3 @@ class SupervisionBranch:
         t_len, n, f = _check_sequence(seq)
         probs = softmax_rows(linear(reshape(seq, (t_len * n, f)), self.fc_w, self.fc_b))
         return reshape(probs, (t_len, n, self.fc_b.size))
-
-    def parameters(self) -> dict[str, Tensor]:
-        return {"fc.w": self.fc_w, "fc.b": self.fc_b}

@@ -661,6 +661,30 @@ class BatchNormState:
         self.eps = 1e-5
 
 
+class Module:
+    """A layer whose tensors and running statistics are found by walking its attributes.
+
+    Keys are dotted attribute paths, with list indices as parts
+    (``stages.0.0.conv1.weight``, ``stem_bn.state``). The order is each
+    ``__init__``'s assignment order, depth first, so a block that assigns each
+    conv before its normalization lists the conv weight, then that BN's γ and β.
+    """
+
+    def parameters(self) -> dict[str, Tensor]:
+        return dict(_walk(self, Tensor, ""))
+
+    def norm_states(self) -> dict[str, BatchNormState]:
+        return dict(_walk(self, BatchNormState, ""))
+
+
+def _walk(node, kind: type, prefix: str):
+    for name, value in vars(node).items() if isinstance(node, Module) else enumerate(node):
+        if isinstance(value, kind):
+            yield f"{prefix}{name}", value
+        elif isinstance(value, (Module, list)):
+            yield from _walk(value, kind, f"{prefix}{name}.")
+
+
 def _bn_normalize(y: np.ndarray, state: BatchNormState, training: bool) -> np.ndarray:
     """Overwrite C-contiguous, channel-major ``y`` (C, ...) with its normalization x̂.
 

@@ -14,6 +14,7 @@ from textrec.backbone import (
 from textrec.datagen import rendered_width
 from textrec.errors import ShapeError
 from textrec.gradcheck import check_gradients
+from textrec.selfcheck import _random_affine
 from textrec.tensor import Tape, Tensor, add, mul, relu, scale_channels, sum_all, tanh
 
 
@@ -117,11 +118,7 @@ def random_block(in_ch, out_ch, stride, seed=0):
     """A block with random affine BN parameters and running statistics."""
     r = np.random.default_rng(seed)
     block = BasicBlock(r, in_ch, out_ch, stride)
-    for name, p in block.parameters().items():
-        if name.endswith(".gamma"):
-            p.data[:] = r.uniform(0.5, 1.5, p.shape)
-        elif name.endswith(".beta"):
-            p.data[:] = r.uniform(-0.5, 0.5, p.shape)
+    _random_affine(block, r)
     for st in block.norm_states().values():
         st.running_mean[:] = r.uniform(-0.5, 0.5, st.running_mean.shape)
         st.running_var[:] = r.uniform(0.5, 2.0, st.running_var.shape)
@@ -144,6 +141,37 @@ def taped_block_results(forward, block, x, training, weight):
 # (in, out, stride): the identity shortcut, then a projection for channels, stride or both
 BLOCK_SHAPES = [(4, 4, 1), (3, 5, 1), (4, 4, 2), (3, 5, 2)]
 BLOCK_IDS = ["identity", "proj_ch", "proj_s2", "proj_ch_s2"]
+
+
+def identical(got, want) -> bool:
+    return len(got) == len(want) and all(a is b for a, b in zip(got, want))
+
+
+class TestParameterWalk:
+    """Keys are attribute paths in ``__init__``'s assignment order: the order of a block's gradients."""
+
+    @pytest.mark.parametrize("in_ch,out_ch,stride,count", [(4, 4, 1, 6), (3, 5, 2, 9)], ids=["identity", "proj"])
+    def test_block_lists_each_conv_then_its_bn(self, in_ch, out_ch, stride, count):
+        block = BasicBlock(np.random.default_rng(0), in_ch, out_ch, stride)
+        layers = [(block.conv1, block.bn1), (block.conv2, block.bn2), (block.proj, block.proj_bn)][: count // 3]
+        want = [t for conv, bn in layers for t in (conv.weight, bn.gamma, bn.beta)]
+        assert identical(list(block.parameters().values()), want)
+        assert identical(list(block.norm_states().values()), [bn.state for _, bn in layers])
+
+    @pytest.mark.parametrize(
+        "cfg,tensors,states",
+        [(BackboneConfig(), 36, 12), (BackboneConfig.paper_scale(), 108, 36)],
+        ids=["toy", "paper"],
+    )
+    def test_backbone_lists_the_stem_then_each_block(self, cfg, tensors, states):
+        bb = Backbone(cfg, np.random.default_rng(0))
+        params = bb.parameters()
+        assert list(params)[:4] == ["stem_conv.weight", "stem_bn.gamma", "stem_bn.beta", "stages.0.0.conv1.weight"]
+        assert len(params) == tensors and len({id(p) for p in params.values()}) == tensors
+        blocks = [p for stage in bb.stages for block in stage for p in block.parameters().values()]
+        want = [bb.stem_conv.weight, bb.stem_bn.gamma, bb.stem_bn.beta, *blocks]
+        assert identical(list(params.values()), want)
+        assert len(bb.norm_states()) == states and list(bb.norm_states())[0] == "stem_bn.state"
 
 
 class TestBlockOp:
@@ -243,11 +271,7 @@ class TestBnFold:
         for st in bb.norm_states().values():
             st.momentum = 1.0
         bb.forward(Tensor(r.uniform(0, 1, (4, 1, 32, 48))), training=True)
-        for name, p in bb.parameters().items():
-            if name.endswith(".gamma"):
-                p.data[:] = r.uniform(0.5, 1.5, p.shape)
-            elif name.endswith(".beta"):
-                p.data[:] = r.uniform(-0.5, 0.5, p.shape)
+        _random_affine(bb, r)
         return bb, r
 
     def test_folded_eval_matches_taped_eval(self):

