@@ -19,11 +19,8 @@ from .tensor import (
     BatchNormState,
     Module,
     Tensor,
-    _bn_backward,
-    _bn_normalize,
     _conv_backward,
     apply_op,
-    batch_norm,
     conv2d,
     conv2d_cnhw,
     parameter,
@@ -80,13 +77,85 @@ class Conv2d(Module):
 
 
 class BatchNorm2d(Module):
+    """Per-channel batch normalization with affine γ, β (Ioffe & Szegedy, arXiv:1502.03167).
+
+    Every BN formula lives here, over C-contiguous channel-major (C, N, H, W)
+    arrays: the stem runs them through ``forward``, ``BasicBlock`` directly.
+    Training normalizes by the batch statistics over (N, H, W) and moves the
+    running estimates toward them. Eval applies the running statistics as
+    x̂ = y·inv + shift (``frozen``), the arithmetic of the ``conv2d_cnhw``
+    epilogue through which the block applies them, so every eval x̂ agrees.
+    """
+
     def __init__(self, channels: int):
         self.gamma = parameter(np.ones(channels))
         self.beta = parameter(np.zeros(channels))
         self.state = BatchNormState(channels)
 
+    def frozen(self) -> tuple[np.ndarray, np.ndarray]:
+        """Eval's per-channel ``(inv, shift)``, so that x̂ = y·inv + shift."""
+        st = self.state
+        inv = 1.0 / np.sqrt(st.running_var + st.eps)
+        return inv, -st.running_mean * inv
+
+    def normalize(self, y: np.ndarray, training: bool) -> np.ndarray:
+        """Overwrite ``y`` with x̂ and return inv = 1/√(σ² + ε) per channel."""
+        y2 = y.reshape(y.shape[0], -1)
+        if not training:
+            inv, shift = self.frozen()
+            y2 *= inv[:, None]
+            y2 += shift[:, None]
+            return inv
+        st = self.state
+        m = y2.mean(axis=1)
+        y2 -= m[:, None]
+        v = np.einsum("ij,ij->i", y2, y2) / y2.shape[1]
+        st.running_mean += st.momentum * (m - st.running_mean)
+        st.running_var += st.momentum * (v - st.running_var)
+        inv = 1.0 / np.sqrt(v + st.eps)
+        y2 *= inv[:, None]
+        return inv
+
+    def affine(self, xhat: np.ndarray, copy: bool) -> np.ndarray:
+        """γ·x̂ + β, written over ``xhat`` unless ``copy``."""
+        y = np.multiply(xhat, self.gamma.data[:, None, None, None], out=np.empty_like(xhat) if copy else xhat)
+        y += self.beta.data[:, None, None, None]
+        return y
+
+    def backward(
+        self, g: np.ndarray, xhat: np.ndarray, inv: np.ndarray, training: bool
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """dX (a fresh array shaped like ``xhat``), dγ and dβ of γ·x̂ + β for output gradient ``g``."""
+        c = xhat.shape[0]
+        g2, xhat2 = g.reshape(c, -1), xhat.reshape(c, -1)
+        dgamma = np.einsum("ij,ij->i", g2, xhat2)
+        dbeta = g2.sum(axis=1)
+        gain = (self.gamma.data * inv)[:, None]
+        if not training:
+            return (g2 * gain).reshape(xhat.shape), dgamma, dbeta
+        # the batch sums of dxhat = γ·g are γ·dβ and γ·dγ, so γ factors out:
+        # dx = γ·inv·(g - (dβ + xhat·dγ) / count)
+        count = g2.shape[1]
+        dx = xhat2 * (dgamma / count)[:, None]
+        dx += (dbeta / count)[:, None]
+        np.subtract(g2, dx, out=dx)
+        dx *= gain
+        return dx.reshape(xhat.shape), dgamma, dbeta
+
     def forward(self, x: Tensor, training: bool) -> Tensor:
-        return batch_norm(x, self.gamma, self.beta, self.state, training)
+        """The taped op over NCHW ``x``; the result is the NCHW view of a channel-major array."""
+        if x.ndim != 4 or x.shape[1] != self.gamma.shape[0]:
+            raise ShapeError(f"BatchNorm2d({self.gamma.shape[0]}) expects NCHW input, got {x.shape}")
+        inputs = (x, self.gamma, self.beta)
+        xhat = x.data.transpose(1, 0, 2, 3).copy()
+        inv = self.normalize(xhat, training)
+        out = self.affine(xhat, copy=tracking(inputs))
+
+        def pull(g):
+            dx, dgamma, dbeta = self.backward(g.transpose(1, 0, 2, 3), xhat, inv, training)
+            return dx.transpose(1, 0, 2, 3), dgamma, dbeta
+
+        return apply_op(out.transpose(1, 0, 2, 3), inputs, pull)
 
 
 class BasicBlock(Module):
@@ -111,12 +180,10 @@ class BasicBlock(Module):
     def forward(self, x: Tensor, training: bool) -> Tensor:
         """The block as one op over the channel-major view of ``x``, in every mode.
 
-        Each conv is ``conv2d_cnhw``, and its output becomes x̂ in place: in
-        training ``_bn_normalize`` applies the batch statistics and updates the
-        running estimates as ``batch_norm`` does; in eval the conv's per-chunk
-        epilogue applies the frozen x̂ = y·inv − μ·inv. γ, β, the shortcut add
-        and the ReLUs then run in place on the inner activation and the output,
-        so traced and untraced eval run the same arithmetic and agree bitwise.
+        Each conv is ``conv2d_cnhw``; ``BatchNorm2d`` makes its output x̂ in
+        place, in eval through the conv's epilogue. γ, β, the shortcut add and
+        the ReLUs then run in place on the inner activation and the output, so
+        traced and untraced eval run the same arithmetic and agree bitwise.
 
         A recorded op keeps each BN's x̂, the inner ReLU output and the block
         output, 4× the output (5× with a projection); the input is alive anyway
@@ -133,48 +200,37 @@ class BasicBlock(Module):
         # parameters() follows __init__'s assignment order, each conv's weight then its BN's γ and β:
         # the order of the gradients that pull returns
         inputs = (x, *self.parameters().values())
+        # γ·x̂ + β overwrites x̂ when nothing keeps it: a copy per BN raises an untracked block's
+        # peak memory from about 3.1× its output to 4.1× (6.1× with a projection) and made a
+        # paper-scale eval forward about 3% slower in interleaved runs
         keep = tracking(inputs)
 
         def conv_norm(src: np.ndarray, conv: Conv2d, bn: BatchNorm2d) -> tuple[np.ndarray, np.ndarray]:
             if training:
                 xhat = conv2d_cnhw(src, conv.weight.data, conv.stride)
-                return xhat, _bn_normalize(xhat, bn.state, True)
-            st = bn.state
-            inv = 1.0 / np.sqrt(st.running_var + st.eps)
-            return conv2d_cnhw(src, conv.weight.data, conv.stride, inv, -st.running_mean * inv), inv
-
-        def affine(xhat: np.ndarray, bn: BatchNorm2d) -> np.ndarray:
-            # in place when nothing keeps x̂: a copy per BN raises an untracked block's peak
-            # memory from about 3.1× its output to 4.1× (6.1× with a projection) and made
-            # a paper-scale eval forward about 3% slower in interleaved runs
-            y = np.multiply(xhat, bn.gamma.data[:, None, None, None], out=np.empty_like(xhat) if keep else xhat)
-            y += bn.beta.data[:, None, None, None]
-            return y
+                return xhat, bn.normalize(xhat, True)
+            inv, shift = bn.frozen()
+            return conv2d_cnhw(src, conv.weight.data, conv.stride, inv, shift), inv
 
         xhat1, inv1 = conv_norm(xc, self.conv1, self.bn1)
-        inner = affine(xhat1, self.bn1)
+        inner = self.bn1.affine(xhat1, keep)
         np.maximum(inner, 0.0, out=inner)
         xhat2, inv2 = conv_norm(inner, self.conv2, self.bn2)
-        out = affine(xhat2, self.bn2)
+        out = self.bn2.affine(xhat2, keep)
         if self.proj is None:
             out += xc
         else:
             xhatp, invp = conv_norm(xc, self.proj, self.proj_bn)
-            out += affine(xhatp, self.proj_bn)
+            out += self.proj_bn.affine(xhatp, keep)
         np.maximum(out, 0.0, out=out)
-        k = out.shape[0]
-
-        def bn_back(g: np.ndarray, xhat: np.ndarray, bn: BatchNorm2d, inv: np.ndarray):
-            dy, dgamma, dbeta = _bn_backward(g.reshape(k, -1), xhat.reshape(k, -1), bn.gamma.data, inv, training)
-            return dy.reshape(xhat.shape), dgamma, dbeta
 
         def pull(g):
             gout = np.empty_like(out)
             np.multiply(g.transpose(1, 0, 2, 3), out > 0.0, out=gout)
-            dy2, dgamma2, dbeta2 = bn_back(gout, xhat2, self.bn2, inv2)
+            dy2, dgamma2, dbeta2 = self.bn2.backward(gout, xhat2, inv2, training)
             dw2, dinner = _conv_backward(inner, self.conv2.weight.data, self.conv2.stride, dy2, True)
             dy1 = np.multiply(dinner, inner > 0.0, out=np.empty_like(inner))
-            dy1, dgamma1, dbeta1 = bn_back(dy1, xhat1, self.bn1, inv1)
+            dy1, dgamma1, dbeta1 = self.bn1.backward(dy1, xhat1, inv1, training)
             dw1, dx = _conv_backward(xc, self.conv1.weight.data, self.conv1.stride, dy1, x.requires_grad)
             grads = [dw1, dgamma1, dbeta1, dw2, dgamma2, dbeta2]
             if self.proj is None:
@@ -184,7 +240,7 @@ class BasicBlock(Module):
             else:
                 if dx is not None:
                     dx = dx.copy()
-                dyp, dgammap, dbetap = bn_back(gout, xhatp, self.proj_bn, invp)
+                dyp, dgammap, dbetap = self.proj_bn.backward(gout, xhatp, invp, training)
                 dwp, dxp = _conv_backward(xc, self.proj.weight.data, self.proj.stride, dyp, x.requires_grad)
                 if dx is not None:
                     dx += dxp

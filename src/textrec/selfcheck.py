@@ -22,8 +22,6 @@ from .tensor import (
     Tensor,
     add,
     add_bias,
-    batch_norm,
-    BatchNormState,
     conv2d,
     getitem,
     matmul,
@@ -135,19 +133,6 @@ def _op_gradient_checks() -> list[CheckResult]:
     ma = Tensor(rng.uniform(0.1, 0.9, (2, 1, 4, 4)), requires_grad=True)
     check("scale_channels", lambda: sum_all(scale_channels(xa, ma)), [xa, ma], rng)
 
-    rng = _rng("grad/batch_norm")
-    xb = Tensor(rng.uniform(-2, 2, (3, 4, 2, 5)), requires_grad=True)
-    gb = Tensor(rng.uniform(0.5, 1.5, (4,)), requires_grad=True)
-    bb = Tensor(rng.uniform(-0.5, 0.5, (4,)), requires_grad=True)
-    st = BatchNormState(4)
-    check(
-        "batch_norm",
-        lambda: sum_all(mul(batch_norm(xb, gb, bb, st, training=True), Tensor(np.ones((3, 4, 2, 5)) * 0.5 + 0.1))),
-        [xb, gb, bb],
-        rng,
-        tol=1e-5,
-    )
-
     rng = _rng("grad/ctc_through_softmax")
     logits = Tensor(rng.uniform(-2, 2, (8, 5)), requires_grad=True)
     check("ctc_through_softmax", lambda: ctc_loss(softmax_rows(logits), [1, 2, 1]), [logits], rng)
@@ -215,7 +200,7 @@ def run_all() -> list[CheckResult]:
 
 def _pipeline_checks() -> list[CheckResult]:
     # imported lazily: backbone/heads sit above this module in the layering
-    from .backbone import AttentionModule, Backbone, BackboneConfig, BasicBlock, map_to_sequence
+    from .backbone import AttentionModule, Backbone, BackboneConfig, BasicBlock, BatchNorm2d, map_to_sequence
     from .heads import BlstmConfig, ContextBranch, SupervisionBranch, lstm_scan
 
     checks: list[CheckResult] = []
@@ -284,16 +269,25 @@ def _pipeline_checks() -> list[CheckResult]:
     err = float(np.max(np.abs(folded - unfolded)) / np.max(np.abs(unfolded)))
     checks.append(CheckResult("eval/bn_fold", err, 1e-12))
 
+    # the stem's BN op, FD over its input, γ and β: batch statistics, then taped eval
+    rng = _rng("grad/batch_norm")
+    bn = BatchNorm2d(4)
+    xb = Tensor(rng.uniform(-2, 2, (3, 4, 2, 5)), requires_grad=True)
+    rb = Tensor(rng.uniform(-1, 1, (3, 4, 2, 5)))
+    _random_bn(bn, rng)
+    errs = [
+        check_gradients(lambda: sum_all(mul(bn.forward(xb, train), rb)), [xb, bn.gamma, bn.beta], max_probe=64, rng=rng)
+        for train in (True, False)
+    ]
+    checks.append(CheckResult("grad/batch_norm", max(errs), 1e-5))
+
     # the residual block op, FD over its input and every parameter: both
     # shortcut kinds, batch statistics and taped eval, a batch of two
     rng = _rng("grad/basic_block")
     worst = 0.0
     for in_ch, out_ch, stride in ((3, 3, 1), (3, 4, 2)):
         block = BasicBlock(rng, in_ch, out_ch, stride)
-        _random_affine(block, rng)
-        for st in block.norm_states().values():
-            st.running_mean[:] = rng.uniform(-0.5, 0.5, st.running_mean.shape)
-            st.running_var[:] = rng.uniform(0.5, 2.0, st.running_var.shape)
+        _random_bn(block, rng)
         xk = Tensor(rng.uniform(-2, 2, (2, in_ch, 4, 6)), requires_grad=True)
         rk = Tensor(rng.uniform(-1, 1, (2, out_ch, 4 // stride, 6 // stride)))
         for training in (True, False):
@@ -315,3 +309,11 @@ def _random_affine(layer, rng: np.random.Generator) -> None:
             p.data[:] = rng.uniform(0.5, 1.5, p.shape)
         elif name.endswith(".beta"):
             p.data[:] = rng.uniform(-0.5, 0.5, p.shape)
+
+
+def _random_bn(layer, rng: np.random.Generator) -> None:
+    """``_random_affine``, then every running μ in [-0.5, 0.5] and σ² in [0.5, 2]."""
+    _random_affine(layer, rng)
+    for st in layer.norm_states().values():
+        st.running_mean[:] = rng.uniform(-0.5, 0.5, st.running_mean.shape)
+        st.running_var[:] = rng.uniform(0.5, 2.0, st.running_var.shape)

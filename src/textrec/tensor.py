@@ -538,9 +538,9 @@ def _conv_backward(
     buffer, and, when dX is needed, ``W.T @ g`` overwrites the columns and
     col2im adds it into the chunk's samples of the reused ``col2im`` buffer,
     zeroed chunk by chunk, so ranges write disjoint slices. The accumulators
-    and product buffers are taken here on the calling thread, and the
-    partial dWs are summed in range order, so the result does not depend on
-    which thread ran which range. dX is a (C, N, H, W) view of the
+    and product buffers are taken here on the calling thread, and a split
+    call's partial dWs are summed in range order, so the result does not
+    depend on which thread ran which range. dX is a (C, N, H, W) view of the
     ``col2im`` buffer, so it must be consumed (copied, added or multiplied
     into another array) before the next conv backward runs.
     """
@@ -572,7 +572,8 @@ def _conv_backward(
 
     _run_ranges([partial(run, *r, dw, prod) for r, dw, prod in zip(ranges, dws, prods)])
     dx = dxp[:, :, pt : pt + h, pl : pl + wd] if need_dx else None
-    return dws.sum(axis=0).reshape(w.shape), dx
+    dw = dws[0] if len(ranges) == 1 else dws.sum(axis=0)
+    return dw.reshape(w.shape), dx
 
 
 def conv2d(
@@ -648,7 +649,7 @@ def scale_channels(x: Tensor, m: Tensor) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# batch normalization
+# layers: the parameter walk and batch-norm running statistics
 
 
 class BatchNormState:
@@ -683,75 +684,3 @@ def _walk(node, kind: type, prefix: str):
             yield f"{prefix}{name}", value
         elif isinstance(value, (Module, list)):
             yield from _walk(value, kind, f"{prefix}{name}.")
-
-
-def _bn_normalize(y: np.ndarray, state: BatchNormState, training: bool) -> np.ndarray:
-    """Overwrite C-contiguous, channel-major ``y`` (C, ...) with its normalization x̂.
-
-    Training mode normalizes by the batch statistics over every axis but the
-    first and moves the running estimates toward them; evaluation mode uses
-    the frozen running statistics. Returns 1/√(σ² + ε) per channel.
-    """
-    y2 = y.reshape(y.shape[0], -1)
-    if training:
-        m = y2.mean(axis=1)
-        y2 -= m[:, None]
-        v = np.einsum("ij,ij->i", y2, y2) / y2.shape[1]
-        mom = state.momentum
-        state.running_mean += mom * (m - state.running_mean)
-        state.running_var += mom * (v - state.running_var)
-    else:
-        y2 -= state.running_mean[:, None]
-        v = state.running_var
-    inv = 1.0 / np.sqrt(v + state.eps)
-    y2 *= inv[:, None]
-    return inv
-
-
-def _bn_backward(
-    g: np.ndarray, xhat: np.ndarray, gamma: np.ndarray, inv: np.ndarray, training: bool
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """dX (a fresh (C, M) array), dγ and dβ of γ·x̂ + β for output gradient ``g``.
-
-    ``g`` and ``xhat`` are channel-major (C, M) matrices, and ``inv`` is what
-    ``_bn_normalize`` returned.
-    """
-    dgamma = np.einsum("ij,ij->i", g, xhat)
-    dbeta = g.sum(axis=1)
-    gain = (gamma * inv)[:, None]
-    if not training:
-        return g * gain, dgamma, dbeta
-    # the batch sums of dxhat = γ·g are γ·dβ and γ·dγ, so γ factors out:
-    # dx = γ·inv·(g - (dβ + xhat·dγ) / count)
-    count = g.shape[1]
-    dx = xhat * (dgamma / count)[:, None]
-    dx += (dbeta / count)[:, None]
-    np.subtract(g, dx, out=dx)
-    dx *= gain
-    return dx, dgamma, dbeta
-
-
-def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState, training: bool) -> Tensor:
-    """Per-channel normalization of NCHW input with affine scale/shift.
-
-    Training mode normalizes by batch statistics over (N, H, W) and updates the
-    running estimates in place; evaluation mode uses the frozen running stats.
-    The work runs channel-major in ``_bn_normalize`` and ``_bn_backward``, and
-    the result is the NCHW view of a (C, N, H, W) array.
-    """
-    if x.ndim != 4:
-        raise ShapeError(f"batch_norm expects NCHW input, got {x.shape}")
-    c = x.shape[1]
-    if gamma.shape != (c,) or beta.shape != (c,):
-        raise ShapeError("batch_norm: gamma/beta shape mismatch")
-    xhat = x.data.transpose(1, 0, 2, 3).copy()
-    inv = _bn_normalize(xhat, state, training)
-    out = xhat * gamma.data[:, None, None, None]
-    out += beta.data[:, None, None, None]
-
-    def pull(g):
-        g2 = g.transpose(1, 0, 2, 3).reshape(c, -1)
-        dx, dgamma, dbeta = _bn_backward(g2, xhat.reshape(c, -1), gamma.data, inv, training)
-        return dx.reshape(xhat.shape).transpose(1, 0, 2, 3), dgamma, dbeta
-
-    return apply_op(out.transpose(1, 0, 2, 3), (x, gamma, beta), pull)

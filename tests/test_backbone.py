@@ -9,12 +9,13 @@ from textrec.backbone import (
     Backbone,
     BackboneConfig,
     BasicBlock,
+    BatchNorm2d,
     map_to_sequence,
 )
 from textrec.datagen import rendered_width
 from textrec.errors import ShapeError
 from textrec.gradcheck import check_gradients
-from textrec.selfcheck import _random_affine
+from textrec.selfcheck import _random_affine, _random_bn
 from textrec.tensor import Tape, Tensor, add, mul, relu, scale_channels, sum_all, tanh
 
 
@@ -118,10 +119,7 @@ def random_block(in_ch, out_ch, stride, seed=0):
     """A block with random affine BN parameters and running statistics."""
     r = np.random.default_rng(seed)
     block = BasicBlock(r, in_ch, out_ch, stride)
-    _random_affine(block, r)
-    for st in block.norm_states().values():
-        st.running_mean[:] = r.uniform(-0.5, 0.5, st.running_mean.shape)
-        st.running_var[:] = r.uniform(0.5, 2.0, st.running_var.shape)
+    _random_bn(block, r)
     return block
 
 
@@ -145,6 +143,24 @@ BLOCK_IDS = ["identity", "proj_ch", "proj_s2", "proj_ch_s2"]
 
 def identical(got, want) -> bool:
     return len(got) == len(want) and all(a is b for a, b in zip(got, want))
+
+
+class TestBatchNorm2d:
+    def test_training_normalizes_batch(self):
+        bn = BatchNorm2d(2)
+        y = bn.forward(Tensor(np.random.default_rng(1234).normal(5.0, 3.0, (4, 2, 3, 3))), training=True)
+        assert abs(y.data.mean()) < 1e-12
+        assert y.data.std() == pytest.approx(1.0, rel=1e-3)
+
+    def test_eval_uses_running_stats(self):
+        y = BatchNorm2d(1).forward(Tensor(np.zeros((1, 1, 2, 2))), training=False)
+        np.testing.assert_array_equal(y.data, np.zeros((1, 1, 2, 2)))
+
+    def test_wrong_shape_rejected(self):
+        bn = BatchNorm2d(3)
+        for shape in [(1, 2, 4, 4), (1, 4, 4, 4), (3, 4, 4)]:
+            with pytest.raises(ShapeError):
+                bn.forward(Tensor(np.zeros(shape)), training=True)
 
 
 class TestParameterWalk:
@@ -186,6 +202,8 @@ class TestBlockOp:
         want, _ = taped_block_results(reference_block, random_block(in_ch, out_ch, stride), x, training, weight)
         assert records == 3  # the block, the product, the sum
         assert len(got) == len(want)
+        # one BN formula in every mode: the block's output is the chain's, bit for bit
+        assert np.array_equal(got[0], want[0])
         for a, b in zip(got, want):
             assert a.shape == b.shape and rel_gap(a, b) <= 1e-12
 
@@ -475,18 +493,3 @@ class TestMapToSequence:
             for h in range(3):
                 for c in range(2):
                     assert seq[w, 0, h * 2 + c] == vol[0, c, h, w]
-
-
-class TestEndToEndPipeline:
-    def test_gradient_through_full_pipeline_32x32(self):
-        cfg, bb = make_backbone()
-        att = AttentionModule(cfg.out_channels, np.random.default_rng(8))
-        image = Tensor(np.random.default_rng(9).uniform(0, 1, (1, 1, 32, 32)), requires_grad=True)
-
-        def pipeline():
-            feats = bb.forward(image, training=True)
-            weighted = scale_channels(feats, att.forward(feats))
-            return sum_all(tanh(map_to_sequence(weighted)))
-
-        err = check_gradients(pipeline, [image], max_probe=64, rng=np.random.default_rng(10))
-        assert err < 1e-5

@@ -885,44 +885,6 @@ class TestShapeOps:
         assert err < 1e-6
 
 
-class TestBatchNorm:
-    def test_training_normalizes_batch(self):
-        r = rng()
-        x = Tensor(r.normal(5.0, 3.0, (4, 2, 3, 3)))
-        gamma = Tensor(np.ones(2))
-        beta = Tensor(np.zeros(2))
-        state = T.BatchNormState(2)
-        y = T.batch_norm(x, gamma, beta, state, training=True)
-        assert abs(y.data.mean()) < 1e-12
-        assert y.data.std() == pytest.approx(1.0, rel=1e-3)
-
-    def test_eval_uses_running_stats(self):
-        x = Tensor(np.zeros((1, 1, 2, 2)))
-        gamma = Tensor(np.ones(1))
-        beta = Tensor(np.zeros(1))
-        state = T.BatchNormState(1)
-        y = T.batch_norm(x, gamma, beta, state, training=False)
-        np.testing.assert_array_equal(y.data, np.zeros((1, 1, 2, 2)))
-
-    def test_eval_gradient_matches_finite_differences(self):
-        assert self.gradient_error(training=False) < 1e-5
-
-    @staticmethod
-    def gradient_error(training):
-        r = rng()
-        x = Tensor(r.uniform(-2, 2, (3, 2, 2, 4)), requires_grad=True)
-        gamma = Tensor(r.uniform(0.5, 1.5, 2), requires_grad=True)
-        beta = Tensor(r.uniform(-0.5, 0.5, 2), requires_grad=True)
-        w = Tensor(r.uniform(-1, 1, (3, 2, 2, 4)))
-        state = T.BatchNormState(2)
-        state.running_mean[:] = r.uniform(-0.5, 0.5, 2)
-        state.running_var[:] = r.uniform(0.5, 2.0, 2)
-        return check_gradients(
-            lambda: T.sum_all(T.mul(T.batch_norm(x, gamma, beta, state, training=training), w)),
-            [x, gamma, beta],
-        )
-
-
 class TestScaleChannels:
     def test_broadcast_product(self):
         r = rng()
