@@ -185,10 +185,13 @@ class BasicBlock(Module):
         the ReLUs then run in place on the inner activation and the output, so
         traced and untraced eval run the same arithmetic and agree bitwise.
 
-        A recorded op keeps each BN's x̂, the inner ReLU output and the block
-        output, 4× the output (5× with a projection); the input is alive anyway
-        (the memory argument of In-Place ABN, Rota Bulò et al.,
-        arXiv:1712.02616). An untracked one overwrites each x̂ with γ·x̂ + β.
+        A recorded op keeps each BN's x̂ and the block output, 3× the output
+        (4× with a projection); the input is alive anyway (the memory argument
+        of In-Place ABN, Rota Bulò et al., arXiv:1712.02616). The pull rebuilds
+        the inner ReLU output from x̂1 with the forward's own arithmetic, so it
+        equals the forward's bitwise, and overwrites it with its gradient after
+        conv2's backward (recompute-for-memory, Chen et al., arXiv:1604.06174).
+        An untracked op overwrites each x̂ with γ·x̂ + β.
 
         The backward is hand-written: output ReLU mask → BN2 → conv2 → inner
         ReLU mask → BN1 → conv1, then the identity shortcut, or the
@@ -213,9 +216,13 @@ class BasicBlock(Module):
             return conv2d_cnhw(src, conv.weight.data, conv.stride, inv, shift), inv
 
         xhat1, inv1 = conv_norm(xc, self.conv1, self.bn1)
-        inner = self.bn1.affine(xhat1, keep)
-        np.maximum(inner, 0.0, out=inner)
-        xhat2, inv2 = conv_norm(inner, self.conv2, self.bn2)
+
+        def relu_inner(copy: bool) -> np.ndarray:
+            """conv2's input ReLU(γ·x̂1 + β), which the pull rebuilds rather than the record keeping it."""
+            inner = self.bn1.affine(xhat1, copy)
+            return np.maximum(inner, 0.0, out=inner)
+
+        xhat2, inv2 = conv_norm(relu_inner(keep), self.conv2, self.bn2)
         out = self.bn2.affine(xhat2, keep)
         if self.proj is None:
             out += xc
@@ -228,8 +235,9 @@ class BasicBlock(Module):
             gout = np.empty_like(out)
             np.multiply(g.transpose(1, 0, 2, 3), out > 0.0, out=gout)
             dy2, dgamma2, dbeta2 = self.bn2.backward(gout, xhat2, inv2, training)
-            dw2, dinner = _conv_backward(inner, self.conv2.weight.data, self.conv2.stride, dy2, True)
-            dy1 = np.multiply(dinner, inner > 0.0, out=np.empty_like(inner))
+            dy1 = relu_inner(True)  # conv2's input, then overwritten with the gradient below its ReLU
+            dw2, dinner = _conv_backward(dy1, self.conv2.weight.data, self.conv2.stride, dy2, True)
+            np.multiply(dinner, dy1 > 0.0, out=dy1)
             dy1, dgamma1, dbeta1 = self.bn1.backward(dy1, xhat1, inv1, training)
             dw1, dx = _conv_backward(xc, self.conv1.weight.data, self.conv1.stride, dy1, x.requires_grad)
             grads = [dw1, dgamma1, dbeta1, dw2, dgamma2, dbeta2]

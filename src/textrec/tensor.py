@@ -2,8 +2,11 @@
 
 Everything runs in 64-bit floating point. Operations record themselves onto
 the active :class:`Tape` (a thread-local stack), and :meth:`Tape.backward`
-replays the records strictly in reverse execution order, so every tensor's
-gradient is complete before any earlier operation consumes it.
+consumes the records strictly in reverse execution order, so every tensor's
+gradient is complete before any earlier operation consumes it. Backward
+leaves ``grad`` set on leaf tensors only: each record, with the arrays its
+pull saved and its output's gradient, is released once it has been pulled,
+so a tape drives one backward.
 
 Broadcasting is deliberately restricted: elementwise ops require exact shape
 matches. The only broadcast products offered are the bias adds built into
@@ -83,17 +86,20 @@ def parameter(data) -> Tensor:
 
 
 class Tape:
-    """Execution-ordered record of differentiable operations.
+    """Execution-ordered record of differentiable operations, used once.
 
     Used as a context manager around a forward pass; ``backward`` then drives
-    reverse-mode differentiation. Ops executed while no tape is active are
-    plain numpy computations with no gradient tracking.
+    reverse-mode differentiation and consumes the records. ``len`` is the
+    number of ops recorded, before and after backward. Ops executed while no
+    tape is active are plain numpy computations with no gradient tracking.
     """
 
     def __init__(self):
         # each record: (output tensor, input tensors, pull function)
         # pull(out_grad) -> per-input gradient arrays (None where not needed)
         self._records: list[tuple[Tensor, tuple[Tensor, ...], Callable]] = []
+        self._recorded = 0
+        self._consumed = False
 
     def __enter__(self) -> "Tape":
         _tape_stack().append(self)
@@ -104,28 +110,44 @@ class Tape:
         assert popped is self
 
     def __len__(self) -> int:
-        return len(self._records)
+        return self._recorded
 
     def record(self, out: Tensor, inputs: tuple[Tensor, ...], pull: Callable) -> None:
         self._records.append((out, inputs, pull))
+        self._recorded += 1
 
     def backward(self, root: Tensor) -> None:
-        """Populate ``grad`` on every recorded tensor that ``root`` depends on.
+        """Populate ``grad`` on every leaf tensor that ``root`` depends on, consuming the tape.
 
-        ``root`` must be scalar (shape product 1). Gradients accumulate into
-        existing buffers, so leaf tensors keep sums across calls until their
-        ``grad`` is set to None.
+        ``root`` must be scalar (shape product 1). Each record is popped
+        before its pull runs, and its output's ``grad`` is set to None once
+        the pull has returned, so a record's saved arrays, inputs and output
+        gradient are freed as soon as no earlier record holds them (the
+        release-after-use of PyTorch's autograd, Paszke et al., 2017). Only
+        tensors that no record produced keep a ``grad``, and gradients
+        accumulate into existing buffers, so leaves keep sums across tapes
+        until their ``grad`` is set to None. A second call raises
+        ``RuntimeError``.
         """
+        if self._consumed:
+            raise RuntimeError("backward already ran on this tape; record a new one")
         if root.size != 1:
             raise ShapeError(f"backward root must be scalar, got shape {root.shape}")
+        self._consumed = True
         root.accumulate_grad(np.ones_like(root.data))
-        for out, inputs, pull in reversed(self._records):
-            if out.grad is None:
-                continue
-            grads = pull(out.grad)
-            for t, g in zip(inputs, grads):
-                if t.requires_grad and g is not None:
-                    t.accumulate_grad(np.asarray(g, dtype=np.float64))
+        while self._records:
+            _pull(*self._records.pop())
+
+
+def _pull(out: Tensor, inputs: tuple[Tensor, ...], pull: Callable) -> None:
+    """Run one record's pull; its gradients are dropped on return, before the next record's pull."""
+    if out.grad is None:
+        return
+    grads = pull(out.grad)
+    out.grad = None
+    for t, g in zip(inputs, grads):
+        if t.requires_grad and g is not None:
+            t.accumulate_grad(np.asarray(g, dtype=np.float64))
 
 
 def tracking(inputs: Sequence[Tensor]) -> bool:

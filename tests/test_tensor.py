@@ -3,6 +3,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -778,6 +779,74 @@ class TestBackward:
             y = T.scale(x, 2.0)
         with pytest.raises(ShapeError):
             tape.backward(y)
+
+    def test_backward_consumes_the_tape_and_fills_leaves_only(self):
+        r = rng()
+        x = Tensor(r.uniform(-1, 1, (3, 4)), requires_grad=True)
+        w = Tensor(r.uniform(-1, 1, (4, 2)), requires_grad=True)
+        with Tape() as tape:
+            y = T.matmul(x, w)
+            z = T.tanh(y)
+            zz = T.mul(z, z)
+            root = T.sum_all(zz)
+        tape.backward(root)
+        assert len(tape) == 4 and not tape._records
+        assert [t.grad for t in (y, z, zz, root)] == [None] * 4
+        # d(Σ z²)/dy = 2z(1 - z²), the arithmetic of mul's and tanh's pulls
+        dy = (z.data + z.data) * (1.0 - z.data * z.data)
+        np.testing.assert_array_equal(x.grad, dy @ w.data.T)
+        np.testing.assert_array_equal(w.grad, x.data.T @ dy)
+
+    def test_second_backward_on_a_tape_raises(self):
+        x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        with Tape() as tape:
+            root = T.sum_all(T.scale(x, 3.0))
+        tape.backward(root)
+        with pytest.raises(RuntimeError):
+            tape.backward(root)
+        np.testing.assert_array_equal(x.grad, [3.0, 3.0])
+
+    def test_a_pulled_record_is_freed_before_the_earlier_pull_runs(self):
+        freed = []
+
+        def record(x, saved, later=None):
+            def pull(g):
+                if later is not None:
+                    freed.append(later() is None)
+                return (g * saved,)
+
+            return T.apply_op(x.data * saved, (x,), pull)
+
+        x = Tensor(np.ones(3), requires_grad=True)
+        later_saved = np.full(3, 2.0)
+        later = weakref.ref(later_saved)
+        with Tape() as tape:
+            a = record(x, np.full(3, 3.0), later)
+            root = T.sum_all(record(a, later_saved))
+        del later_saved  # now only the later record's pull holds it
+        tape.backward(root)
+        assert freed == [True]
+        np.testing.assert_array_equal(x.grad, np.full(3, 6.0))
+
+    def test_backward_through_a_chain_releases_each_gradient(self):
+        # each intermediate grad is released once pulled, so about 2 MiB are alive at once:
+        # keeping every intermediate grad would peak at 10 MiB
+        x = Tensor(np.ones(1 << 17), requires_grad=True)  # 1 MiB
+        with Tape() as tape:
+            y = x
+            for _ in range(8):
+                y = T.scale(y, 1.5)
+            root = T.sum_all(y)
+        del y
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tape.backward(root)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * 2**20
+        np.testing.assert_array_equal(x.grad, np.full(1 << 17, 1.5**8))
 
     def test_composite_conv_sigmoid_sum_matches_fd(self):
         r = rng()
