@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -70,9 +69,11 @@ _FONT_ROWS = {
 }
 
 
-def _glyph_bitmap(ch: str) -> np.ndarray:
-    rows = _FONT_ROWS[ch]
-    return np.array([[cell == "#" for cell in row] for row in rows], dtype=bool)
+# each glyph's ink mask at canvas scale, (7·SCALE, 5·SCALE), built once
+_GLYPHS = {
+    ch: np.array([[cell == "#" for cell in row] for row in rows]).repeat(SCALE, 0).repeat(SCALE, 1)
+    for ch, rows in _FONT_ROWS.items()
+}
 
 
 @dataclass(frozen=True)
@@ -127,7 +128,7 @@ def render(label: str, config: GenConfig, seed: int) -> Sample:
     top = (CANVAS_HEIGHT - GLYPH_ROWS * SCALE) // 2
     x = MARGIN
     for ch in label:
-        bitmap = np.repeat(np.repeat(_glyph_bitmap(ch), SCALE, 0), SCALE, 1)
+        bitmap = _GLYPHS[ch]
         gh, gw = bitmap.shape
         canvas[top : top + gh, x : x + gw][bitmap] = 0.0
         x += gw + SPACING
@@ -144,6 +145,19 @@ def _label_space_size(config: GenConfig) -> int:
     return sum(a**length for length in range(config.min_len, config.max_len + 1))
 
 
+def _label_at(index: int, config: GenConfig) -> str:
+    """Label ``index`` of the label space: shorter lengths first, each length in ``itertools.product`` order."""
+    a, length = len(config.charset), config.min_len
+    while index >= a**length:
+        index -= a**length
+        length += 1
+    chars = []
+    for _ in range(length):
+        index, digit = divmod(index, a)
+        chars.append(config.charset[digit])
+    return "".join(reversed(chars))
+
+
 def _sample_distinct_labels(config: GenConfig, count: int, rng: np.random.Generator) -> list[str]:
     space = _label_space_size(config)
     if space < count:
@@ -152,13 +166,8 @@ def _sample_distinct_labels(config: GenConfig, count: int, rng: np.random.Genera
             "use longer labels or a larger alphabet"
         )
     if space <= 1 << 20:
-        universe = [
-            "".join(combo)
-            for length in range(config.min_len, config.max_len + 1)
-            for combo in product(config.charset, repeat=length)
-        ]
-        picked = rng.choice(len(universe), size=count, replace=False)
-        return [universe[i] for i in picked]
+        picked = rng.choice(space, size=count, replace=False)
+        return [_label_at(int(i), config) for i in picked]
     # huge spaces: rejection sampling, length weighted by string counts
     lengths = np.arange(config.min_len, config.max_len + 1)
     weights = np.array([len(config.charset) ** int(l) for l in lengths], dtype=np.float64)

@@ -228,6 +228,9 @@ def _sigmoid_raw(v: np.ndarray) -> np.ndarray:
 
 
 def tanh(x: Tensor) -> Tensor:
+    """Taped tanh. No model path records it (``lstm_scan`` calls ``np.tanh``), but the
+    reference LSTM that ``tests/test_heads.py`` checks the fused scan against is built
+    from it, as are selfcheck's ``grad/tanh`` and its pipeline check's final reduction."""
     y = np.tanh(x.data)
     return apply_op(y, (x,), lambda g: (g * (1.0 - y * y),))
 
@@ -327,10 +330,27 @@ def _same_pad(extent: int, k: int, stride: int) -> tuple[int, int, int]:
     return out, lo, total - lo  # odd padding puts the extra pixel low/right
 
 
-# One chunk's columns hold at most this many elements (32 MiB) unless one
-# sample needs more: a full-batch block (about 100 MiB at paper scale) would
-# raise peak memory, not reuse it. A split conv gives each of its P ranges
-# 1/P of it, so its columns stay within the same bound.
+# A chunk's columns only widen its GEMM (Caffe con Troll batches its lowering
+# for that alone, Hadjis et al., arXiv:1504.04343), and they are the memory
+# im2col costs (MEC, Cho & Brand, arXiv:1706.06873): each scratch slot lives
+# as long as its thread, under every step's peak. So ``_column_chunks`` cuts
+# a range into the most whole-sample chunks whose GEMMs all keep at least
+# _MIN_GEMM_COLS columns (N·Ho·Wo). A toy stage-0 conv at 8×32×88 gives 2,816
+# columns per sample, so its ranges run one-sample chunks and its slots shrink
+# from 12.4 to 3.1 MiB; the largest slot of a toy step is then stage 1's
+# 6.2 MiB. On a 2-core KVM guest (one BLAS thread) that took `train_toy`'s
+# peak RSS from a median 127.9 to 115.5 MiB over 10 benchmark pairs, at the
+# same throughput. A 1,024-column floor peaked near 101 MiB, but glibc then
+# handed the step's heap back and faulted it in again every step (about
+# 9,000 minor faults per step), and the median step grew 5-20%; at 2,048 a
+# steady-state step faults 0 times, as the budget-only plan did.
+_MIN_GEMM_COLS = 2048
+
+# A chunk's columns also hold at most this many elements (32 MiB) unless one
+# sample needs more, which bounds large batches: a full-batch block (about
+# 100 MiB at paper scale) would raise peak memory, not reuse it. A split conv
+# gives each of its P ranges 1/P of it, so its columns stay within the same
+# bound.
 _COLS_CHUNK = 1 << 22
 
 # A conv splits its batch across the cores, forward and backward, when its
@@ -384,7 +404,9 @@ def _scratch(size: int, slot: str = "cols") -> np.ndarray:
     holds a taped conv's padded input gradient; each range of a split
     backward writes only its own samples of it. All live as long as the
     thread, so the training and eval paths stop allocating, and
-    page-faulting, their largest temporaries per call.
+    page-faulting, their largest temporaries per call. So each slot keeps
+    the largest chunk any call asked of it under every later peak, which is
+    why ``_column_chunks`` sizes chunks by GEMM width (``_MIN_GEMM_COLS``).
 
     Every thread has its own buffers, so callers on different threads never
     share one. A split conv takes every range's buffers on the calling thread
@@ -416,23 +438,36 @@ def _windows(x: np.ndarray, kh: int, kw: int, sh: int, sw: int) -> np.ndarray:
     return win.transpose(0, 4, 5, 1, 2, 3)
 
 
+def _even_bounds(n: int, p: int) -> list[int]:
+    """The p + 1 bounds of ``p`` contiguous parts of ``n`` items, as even as whole
+    items allow with the larger first (5 = 3 + 2)."""
+    return [i * (n // p) + min(i, n % p) for i in range(p + 1)]
+
+
 def _column_chunks(x: np.ndarray, kh: int, kw: int, sh: int, sw: int, budget: int, slot: str = "cols"):
     """Iterator of ``(s, e, cols)`` over whole-sample chunks of channel-major ``x``.
 
-    ``cols`` is the (C, kh, kw, e - s, Ho, Wo) im2col of samples ``s:e``, at
-    most ``budget`` elements (or one sample's). Every chunk is copied into
-    the calling thread's ``slot`` scratch, taken when this is called rather
-    than when it is iterated, so a pool thread that iterates it fills its
-    caller's buffer.
+    ``cols`` is the (C, kh, kw, e - s, Ho, Wo) im2col of samples ``s:e``. The
+    N samples run in the most chunks, sized by ``_even_bounds``, whose GEMMs
+    all keep at least ``_MIN_GEMM_COLS`` columns (one chunk if N·Ho·Wo is
+    below it), unless a chunk would then exceed ``budget`` elements: then in
+    the fewest chunks within it (chunks of one sample if one sample exceeds
+    it). The plan depends only on the shapes, so a backward rebuilds the
+    forward's chunks. Every chunk is copied into the calling thread's
+    ``slot`` scratch, taken when this is called rather than when it is
+    iterated, so a pool thread that iterates it fills its caller's buffer.
     """
     c, n, h, wd = x.shape
-    sample = c * kh * kw * _same_pad(h, kh, sh)[0] * _same_pad(wd, kw, sw)[0]
-    step = max(1, min(n, budget // sample))
-    buf = _scratch(step * sample, slot)
+    hw = _same_pad(h, kh, sh)[0] * _same_pad(wd, kw, sw)[0]
+    sample = c * kh * kw * hw
+    narrowest = -(-_MIN_GEMM_COLS // hw)  # samples that give a GEMM the floor's columns
+    widest = max(1, budget // sample)  # samples whose columns fit the budget
+    parts = max(1, n // narrowest, -(-n // widest))
+    bounds = _even_bounds(n, parts)
+    buf = _scratch(bounds[1] * sample, slot)
 
     def chunks():
-        for s in range(0, n, step):
-            e = min(s + step, n)
+        for s, e in zip(bounds, bounds[1:]):
             win = _windows(x[:, s:e], kh, kw, sh, sw)
             cols = buf[: win.size].reshape(win.shape)
             np.copyto(cols, win)
@@ -445,16 +480,18 @@ def _sample_ranges(x: np.ndarray, kh: int, kw: int, sh: int, sw: int, flop: int)
     """A conv's batch as ``(lo, chunks)`` per sample range, for ``_run_ranges``.
 
     A conv over channel-major ``x`` whose work ``flop``, 2·K·C·kh·kw·N·Ho·Wo,
-    reaches ``_SPLIT_FLOP`` gets P = min(N, ``_CORES``) contiguous ranges, as
-    even as whole samples allow with the larger first (5 = 3 + 2); a smaller
-    conv gets one. Range i starts at sample ``lo`` and iterates the
-    ``_column_chunks`` of its samples with a budget of ``_COLS_CHUNK // P``
-    elements, in the calling thread's scratch slot ``cols`` (i = 0) or
-    ``cols{i}``, so a split conv's columns stay within one unsplit chunk's.
+    reaches ``_SPLIT_FLOP`` gets P = min(N, ``_CORES``) contiguous ranges from
+    ``_even_bounds``; a smaller conv gets one. Range i starts at sample ``lo``
+    and iterates the ``_column_chunks`` of its own samples, with a budget of
+    ``_COLS_CHUNK // P`` elements, in the calling thread's scratch slot
+    ``cols`` (i = 0) or ``cols{i}``. Each range plans its chunks from its own
+    sample count, so the GEMM-width floor holds per range: the toy stage-0
+    convs run one-sample chunks in each of two ranges of 4, and the
+    paper-scale stage-2 and stage-3 convs one chunk per range.
     """
     n = x.shape[1]
     p = 1 if flop < _SPLIT_FLOP else max(1, min(n, _CORES))
-    bounds = [i * (n // p) + min(i, n % p) for i in range(p + 1)]
+    bounds = _even_bounds(n, p)
     return [
         (lo, _column_chunks(x[:, lo:hi], kh, kw, sh, sw, _COLS_CHUNK // p, f"cols{i}" if i else "cols"))
         for i, (lo, hi) in enumerate(zip(bounds, bounds[1:]))
@@ -504,19 +541,21 @@ def conv2d_cnhw(
     the whole-sample chunks of ``_column_chunks``. Channel-major output is
     what the GEMM writes, so each chunk's ``W @ cols`` lands straight in its
     column block of the output, and the scale and shift run in place on
-    that block while it is in cache. One GEMM per chunk rather than one per
-    sample keeps the deep stages, whose samples have few output pixels,
-    GEMM-bound.
+    that block while it is in cache. A chunk holds the fewest samples that
+    still give its GEMM ``_MIN_GEMM_COLS`` columns: the deep stages, whose
+    samples have few output pixels, keep one GEMM per range and stay
+    GEMM-bound, while the full-resolution stem (and the toy stage 0) run one
+    sample per chunk in a quarter of the columns a range of 4 needed.
 
     A call whose work 2·K·C·kh·kw·N·Ho·Wo reaches ``_SPLIT_FLOP`` splits its
     batch into P = min(N, ``_CORES``) contiguous sample ranges, the per-core
     batch split of Caffe con Troll (Hadjis et al., arXiv:1504.04343), which
     also spreads the im2col copies and the epilogue that a threaded BLAS
     would leave on one core. ``_sample_ranges`` sets P and gives each range
-    its own chunk loop with a budget of ``_COLS_CHUNK // P`` elements, in its
-    own scratch slot of the calling thread; ``_run_ranges`` runs the ranges
-    on the caller and ``_POOL``, and each writes its own column blocks of the
-    one output. An exception raised in any range reaches the caller once
+    its own chunk loop, planned from the range's own samples with a budget
+    of ``_COLS_CHUNK // P`` elements, in its own scratch slot of the calling
+    thread; ``_run_ranges`` runs the ranges on the caller and ``_POOL``, and
+    each writes its own column blocks of the one output. An exception raised in any range reaches the caller once
     every range has stopped. Every 3×3 block conv of the toy and paper-scale
     configs splits, and no conv of the long-line config (see
     ``_SPLIT_FLOP``); a smaller call, and every call when P = 1, is one range

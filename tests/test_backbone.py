@@ -1,3 +1,5 @@
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -216,6 +218,7 @@ class TestBlockOp:
         weight = Tensor(np.random.default_rng(4).uniform(-1, 1, (5, out_ch, ho, wo)))
         want, _ = taped_block_results(reference_block, random_block(in_ch, out_ch, stride), x, True, weight)
         monkeypatch.setattr(T, "_COLS_CHUNK", per_chunk * in_ch * 9 * ho * wo)
+        monkeypatch.setattr(T, "_MIN_GEMM_COLS", sys.maxsize)  # the budget alone sets the chunks
         got, _ = taped_block_results(BasicBlock.forward, random_block(in_ch, out_ch, stride), x, True, weight)
         for a, b in zip(got, want):
             assert rel_gap(a, b) <= 1e-12
@@ -335,6 +338,7 @@ class TestBnFold:
         image = Tensor(r.uniform(0, 1, (5, 1, 32, 40)))
         if cols_chunk is not None:
             monkeypatch.setattr(T, "_COLS_CHUNK", cols_chunk)
+        monkeypatch.setattr(T, "_MIN_GEMM_COLS", sys.maxsize)  # the budget alone sets the chunks
         monkeypatch.setattr(T, "_CORES", 2)
         monkeypatch.setattr(T, "_SPLIT_FLOP", float("inf"))
         serial = bb.forward(image, training=False).data
@@ -397,6 +401,39 @@ class TestSplitThreshold:
         assert (widths[0], widths[-1]) == (280, 344)
         for w in widths:
             assert max(conv_work(BackboneConfig(stage_channels=(4, 4, 8, 8)), 2, w).values()) < T._SPLIT_FLOP
+
+
+class TestScratchHighWater:
+    def test_toy_training_step_keeps_column_slots_within_6_2_mib(self, monkeypatch):
+        # The convs of a toy training step at 8×32×88 (backbone and attention, forward and
+        # backward), two ranges as on two cores, on a fresh thread whose scratch starts empty.
+        # The largest column slot is then stage 1's one chunk per range, 288 rows × 2,816
+        # columns (6.2 MiB); a 32 MiB budget alone gave stage 0 chunks of 4 samples (12.4 MiB).
+        monkeypatch.setattr(T, "_CORES", 2)
+        cfg = BackboneConfig()
+        bb = Backbone(cfg, np.random.default_rng(0))
+        att = AttentionModule(cfg.out_channels, np.random.default_rng(1))
+        r = np.random.default_rng(2)
+        image = Tensor(r.uniform(0, 1, (8, 1, 32, 88)))
+        weight = Tensor(r.uniform(-1, 1, (8, cfg.out_channels, 4, 11)))
+        requests, held = [], {}
+        scratch = T._scratch
+        monkeypatch.setattr(T, "_scratch", lambda size, slot="cols": requests.append((slot, size)) or scratch(size, slot))
+
+        def step():
+            with Tape() as tape:
+                f = bb.forward(image, training=True)
+                root = sum_all(mul(scale_channels(f, att.forward(f)), weight))
+            tape.backward(root)
+            held.update((slot, buf.nbytes) for slot, buf in vars(T._LOCAL).items() if slot.startswith("cols"))
+
+        t = threading.Thread(target=step)
+        t.start()
+        t.join(timeout=120)
+        assert not t.is_alive() and held
+        limit = 6.2 * 2**20
+        assert max(8 * size for slot, size in requests if slot.startswith("cols")) <= limit
+        assert max(held.values()) <= limit
 
 
 class TestAttention:

@@ -275,6 +275,7 @@ class TestConv2dGrid:
             taped = T.conv2d(x, w, b, stride=(2, 1))
         sample_scratch = 2 * 3 * 3 * 3 * 7  # one sample's columns: C·kh·kw·Ho·Wo
         monkeypatch.setattr(T, "_COLS_CHUNK", per_chunk * sample_scratch)
+        monkeypatch.setattr(T, "_MIN_GEMM_COLS", sys.maxsize)  # the budget alone sets the chunks
         chunks = []
         windows = T._windows
         monkeypatch.setattr(T, "_windows", lambda xs, *a: chunks.append(xs.shape[1]) or windows(xs, *a))
@@ -307,6 +308,7 @@ class TestConv2dGrid:
         whole = self.taped_results(x, w, b, stride)
         ho, wo = -(-5 // stride[0]), -(-7 // stride[1])
         monkeypatch.setattr(T, "_COLS_CHUNK", per_chunk * 2 * kernel[0] * kernel[1] * ho * wo)
+        monkeypatch.setattr(T, "_MIN_GEMM_COLS", sys.maxsize)  # the budget alone sets the chunks
         slots, chunks = [], []
         scratch, windows = T._scratch, T._windows
         monkeypatch.setattr(T, "_scratch", lambda size, slot="cols": slots.append(slot) or scratch(size, slot))
@@ -324,6 +326,7 @@ class TestConv2dGrid:
         b = Tensor(r.uniform(-1, 1, (3,)), requires_grad=True)
         weight = Tensor(r.uniform(-1, 1, (5, 3, 3, 7)))
         monkeypatch.setattr(T, "_COLS_CHUNK", 2 * 2 * 3 * 3 * 3 * 7)  # chunks of 2+2+1 samples
+        monkeypatch.setattr(T, "_MIN_GEMM_COLS", sys.maxsize)
         err = check_gradients(lambda: T.sum_all(T.mul(T.conv2d(x, w, b, stride=(2, 1)), weight)), [x, w, b])
         assert err < 1e-6
 
@@ -474,6 +477,7 @@ class TestSplitConv:
         # widths, which BLAS may round differently, so that pair gets the chunk tests' bound.
         args, kwargs = split_operands(kernel, stride, n, bias)
         sample = 2 * kernel[0] * kernel[1] * -(-5 // stride[0]) * -(-7 // stride[1])
+        monkeypatch.setattr(T, "_MIN_GEMM_COLS", sys.maxsize)  # the budget alone sets the chunks
         if per_range is not None:
             monkeypatch.setattr(T, "_COLS_CHUNK", per_range * sample)
         want = self.serial(monkeypatch, args, kwargs)
@@ -712,6 +716,60 @@ class TestSplitBackward:
         assert child.exitcode == 0
         for a, b in zip(got, want):
             assert np.array_equal(a, b)
+
+
+class TestChunkPlan:
+    """The chunks ``_sample_ranges`` plans at the benchmark workloads' shapes, two ranges
+    as on two cores, recorded per ``_windows`` call as ``TestSplitConv.traced`` does."""
+
+    @staticmethod
+    def planned(monkeypatch, c, k, kernel, stride, n, h, w):
+        """Samples per chunk of one forward and one backward, and the slots they took."""
+        monkeypatch.setattr(T, "_CORES", 2)
+        x, wt = np.zeros((c, n, h, w)), np.zeros((k, c, kernel, kernel))
+        chunks, requests = TestSplitConv.traced(monkeypatch)
+        y = T.conv2d_cnhw(x, wt, (stride, stride))
+        forward = [samples for _, samples in chunks]
+        del chunks[:]
+        T._conv_backward(x, wt, (stride, stride), y, True)
+        return forward, [samples for _, samples in chunks], [slot for slot, _ in requests]
+
+    def test_toy_stage0_conv_runs_one_sample_chunks(self, monkeypatch):
+        # 2,816 output columns per sample already reach the GEMM-width floor
+        forward, backward, slots = self.planned(monkeypatch, 16, 16, 3, 1, 8, 32, 88)
+        assert forward == backward == [1] * 8
+        assert slots == ["cols", "cols1", "cols", "cols1", "col2im"]
+
+    @pytest.mark.parametrize(
+        "c,k,kernel,stride,h,w",
+        [
+            (128, 256, 3, 2, 16, 44),
+            (256, 256, 3, 1, 8, 22),
+            (128, 256, 1, 2, 16, 44),
+            (256, 512, 3, 2, 8, 22),
+            (512, 512, 3, 1, 4, 11),
+            (256, 512, 1, 2, 8, 22),
+        ],
+        ids=["stage2-conv1", "stage2-conv2", "stage2-proj", "stage3-conv1", "stage3-conv2", "stage3-proj"],
+    )
+    def test_paper_deep_stage_convs_run_one_chunk_per_range(self, monkeypatch, c, k, kernel, stride, h, w):
+        # 4 samples of 176 or 44 output columns stay below the floor: one GEMM per range
+        forward, backward, _ = self.planned(monkeypatch, c, k, kernel, stride, 8, h, w)
+        assert sorted(forward) == sorted(backward) == [4, 4]
+
+    @pytest.mark.parametrize("force", ["floor", "budget"])
+    def test_two_chunks_of_five_split_three_two(self, monkeypatch, force):
+        # one range of N = 5 (35 output columns per sample); the floor at 2 samples, or a
+        # budget of 4 samples, gives 2 chunks, balanced as 3 + 2 rather than 4 + 1
+        monkeypatch.setattr(T, "_SPLIT_FLOP", float("inf"))
+        if force == "floor":
+            monkeypatch.setattr(T, "_MIN_GEMM_COLS", 2 * 35)
+        else:
+            monkeypatch.setattr(T, "_MIN_GEMM_COLS", sys.maxsize)
+            monkeypatch.setattr(T, "_COLS_CHUNK", 4 * 2 * 9 * 35)
+        forward, backward, slots = self.planned(monkeypatch, 2, 3, 3, 1, 5, 5, 7)
+        assert forward == backward == [3, 2]
+        assert slots == ["cols", "cols", "col2im"]
 
 
 class TestRunRanges:
