@@ -399,22 +399,27 @@ def _scratch(size: int, slot: str = "cols") -> np.ndarray:
 
     Slot ``cols`` holds one chunk's im2col columns, in every forward and
     again in a taped conv's backward, where it then holds the chunk's column
-    gradient. Slots ``cols1``, ``cols2``, ... hold the columns of the other
-    ranges of a split ``conv2d_cnhw`` or ``_conv_backward``. Slot ``col2im``
+    gradient. Slot ``pad`` holds the same chunk's same-padded input, which
+    ``_windows`` reads the columns from. Slots ``cols1``, ``pad1``,
+    ``cols2``, ``pad2``, ... hold the same for the other ranges of a split
+    ``conv2d_cnhw`` or ``_conv_backward``. Slot ``col2im``
     holds a taped conv's padded input gradient; each range of a split
     backward writes only its own samples of it. All live as long as the
     thread, so the training and eval paths stop allocating, and
     page-faulting, their largest temporaries per call. So each slot keeps
     the largest chunk any call asked of it under every later peak, which is
-    why ``_column_chunks`` sizes chunks by GEMM width (``_MIN_GEMM_COLS``).
+    why ``_column_chunks`` sizes chunks by GEMM width (``_MIN_GEMM_COLS``)
+    and takes ``pad`` only for a conv that pads.
 
     Every thread has its own buffers, so callers on different threads never
     share one. A split conv takes every range's buffers on the calling thread
     before ``_run_ranges`` runs the ranges, so a range fills the slot taken
     for it on whichever thread runs it, and a pool thread takes no scratch of
-    its own: its memory would come from its own allocator arena, which cannot
-    reuse what the calling thread's arena already holds (buffers taken on the
-    pool thread cost a paper-scale eval run about 12 MiB more peak RSS).
+    its own and allocates nothing per chunk: its memory would come from its
+    own allocator arena, which keeps it and cannot reuse what the calling
+    thread's arena already holds (column buffers taken on the pool thread
+    cost a paper-scale eval run about 12 MiB more peak RSS, and chunks padded
+    there by a fresh array per chunk left its arena holding 7 MB).
     Whatever a caller gets back is overwritten by the next call for the same
     slot on the same thread, so no op returns a view of it that outlives one
     tape pull, and a dX view of ``col2im`` is consumed before the next conv
@@ -427,15 +432,29 @@ def _scratch(size: int, slot: str = "cols") -> np.ndarray:
     return buf[:size]
 
 
-def _windows(x: np.ndarray, kh: int, kw: int, sh: int, sw: int) -> np.ndarray:
-    """(C, kh, kw, N, Ho, Wo) strided view of the kernel windows of channel-major
-    (C, N, H, W) ``x``, same-padded."""
-    _, pt, pb = _same_pad(x.shape[2], kh, sh)
-    _, pl, pr = _same_pad(x.shape[3], kw, sw)
+def _windows(x: np.ndarray, kh: int, kw: int, sh: int, sw: int, pad: np.ndarray | None) -> np.ndarray:
+    """(C, kh, kw, N, Ho, Wo) read-only strided view of the kernel windows of
+    channel-major (C, N, H, W) ``x``, same-padded.
+
+    A conv that pads writes ``x`` into the front of the flat buffer ``pad``,
+    zeroing only the four border strips around the copied interior, and the
+    view reads that copy; one that needs no padding (a 1×1 kernel) reads ``x``
+    itself, and ``pad`` may then be None.
+    """
+    c, n, h, wd = x.shape
+    ho, pt, pb = _same_pad(h, kh, sh)
+    wo, pl, pr = _same_pad(wd, kw, sw)
     if pt or pb or pl or pr:
-        x = np.pad(x, ((0, 0), (0, 0), (pt, pb), (pl, pr)))
-    win = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))[:, :, ::sh, ::sw]
-    return win.transpose(0, 4, 5, 1, 2, 3)
+        xp = pad[: c * n * (pt + h + pb) * (pl + wd + pr)].reshape(c, n, pt + h + pb, pl + wd + pr)
+        xp[:, :, :pt] = 0.0
+        xp[:, :, pt + h :] = 0.0
+        xp[:, :, pt : pt + h, :pl] = 0.0
+        xp[:, :, pt : pt + h, pl + wd :] = 0.0
+        xp[:, :, pt : pt + h, pl : pl + wd] = x
+        x = xp
+    sc, sn, sy, sx = x.strides
+    shape, strides = (c, kh, kw, n, ho, wo), (sc, sy, sx, sn, sy * sh, sx * sw)
+    return np.lib.stride_tricks.as_strided(x, shape, strides, writeable=False)
 
 
 def _even_bounds(n: int, p: int) -> list[int]:
@@ -444,7 +463,7 @@ def _even_bounds(n: int, p: int) -> list[int]:
     return [i * (n // p) + min(i, n % p) for i in range(p + 1)]
 
 
-def _column_chunks(x: np.ndarray, kh: int, kw: int, sh: int, sw: int, budget: int, slot: str = "cols"):
+def _column_chunks(x: np.ndarray, kh: int, kw: int, sh: int, sw: int, budget: int, tag: str):
     """Iterator of ``(s, e, cols)`` over whole-sample chunks of channel-major ``x``.
 
     ``cols`` is the (C, kh, kw, e - s, Ho, Wo) im2col of samples ``s:e``. The
@@ -453,22 +472,28 @@ def _column_chunks(x: np.ndarray, kh: int, kw: int, sh: int, sw: int, budget: in
     below it), unless a chunk would then exceed ``budget`` elements: then in
     the fewest chunks within it (chunks of one sample if one sample exceeds
     it). The plan depends only on the shapes, so a backward rebuilds the
-    forward's chunks. Every chunk is copied into the calling thread's
-    ``slot`` scratch, taken when this is called rather than when it is
-    iterated, so a pool thread that iterates it fills its caller's buffer.
+    forward's chunks. Every chunk is padded by ``_windows`` into the calling
+    thread's ``pad{tag}`` scratch, sized for the largest chunk's padded input
+    and taken only when the conv pads, and copied into its ``cols{tag}``
+    scratch. Both are taken when this is called rather than when it is
+    iterated, so a pool thread that iterates it fills its caller's buffers
+    and allocates nothing.
     """
     c, n, h, wd = x.shape
-    hw = _same_pad(h, kh, sh)[0] * _same_pad(wd, kw, sw)[0]
-    sample = c * kh * kw * hw
-    narrowest = -(-_MIN_GEMM_COLS // hw)  # samples that give a GEMM the floor's columns
+    ho, pt, pb = _same_pad(h, kh, sh)
+    wo, pl, pr = _same_pad(wd, kw, sw)
+    sample = c * kh * kw * ho * wo
+    narrowest = -(-_MIN_GEMM_COLS // (ho * wo))  # samples that give a GEMM the floor's columns
     widest = max(1, budget // sample)  # samples whose columns fit the budget
     parts = max(1, n // narrowest, -(-n // widest))
     bounds = _even_bounds(n, parts)
-    buf = _scratch(bounds[1] * sample, slot)
+    buf = _scratch(bounds[1] * sample, "cols" + tag)
+    padded = c * bounds[1] * (pt + h + pb) * (pl + wd + pr)
+    pad = _scratch(padded, "pad" + tag) if pt or pb or pl or pr else None
 
     def chunks():
         for s, e in zip(bounds, bounds[1:]):
-            win = _windows(x[:, s:e], kh, kw, sh, sw)
+            win = _windows(x[:, s:e], kh, kw, sh, sw, pad)
             cols = buf[: win.size].reshape(win.shape)
             np.copyto(cols, win)
             yield s, e, cols
@@ -483,17 +508,18 @@ def _sample_ranges(x: np.ndarray, kh: int, kw: int, sh: int, sw: int, flop: int)
     reaches ``_SPLIT_FLOP`` gets P = min(N, ``_CORES``) contiguous ranges from
     ``_even_bounds``; a smaller conv gets one. Range i starts at sample ``lo``
     and iterates the ``_column_chunks`` of its own samples, with a budget of
-    ``_COLS_CHUNK // P`` elements, in the calling thread's scratch slot
-    ``cols`` (i = 0) or ``cols{i}``. Each range plans its chunks from its own
-    sample count, so the GEMM-width floor holds per range: the toy stage-0
-    convs run one-sample chunks in each of two ranges of 4, and the
-    paper-scale stage-2 and stage-3 convs one chunk per range.
+    ``_COLS_CHUNK // P`` elements, in the calling thread's scratch slots
+    ``cols`` and ``pad`` (i = 0) or ``cols{i}`` and ``pad{i}``. Each range
+    plans its chunks from its own sample count, so the GEMM-width floor holds
+    per range: the toy stage-0 convs run one-sample chunks in each of two
+    ranges of 4, and the paper-scale stage-2 and stage-3 convs one chunk per
+    range.
     """
     n = x.shape[1]
     p = 1 if flop < _SPLIT_FLOP else max(1, min(n, _CORES))
     bounds = _even_bounds(n, p)
     return [
-        (lo, _column_chunks(x[:, lo:hi], kh, kw, sh, sw, _COLS_CHUNK // p, f"cols{i}" if i else "cols"))
+        (lo, _column_chunks(x[:, lo:hi], kh, kw, sh, sw, _COLS_CHUNK // p, str(i) if i else ""))
         for i, (lo, hi) in enumerate(zip(bounds, bounds[1:]))
     ]
 
@@ -553,7 +579,7 @@ def conv2d_cnhw(
     also spreads the im2col copies and the epilogue that a threaded BLAS
     would leave on one core. ``_sample_ranges`` sets P and gives each range
     its own chunk loop, planned from the range's own samples with a budget
-    of ``_COLS_CHUNK // P`` elements, in its own scratch slot of the calling
+    of ``_COLS_CHUNK // P`` elements, in its own scratch slots of the calling
     thread; ``_run_ranges`` runs the ranges on the caller and ``_POOL``, and
     each writes its own column blocks of the one output. An exception raised in any range reaches the caller once
     every range has stopped. Every 3×3 block conv of the toy and paper-scale
@@ -594,7 +620,7 @@ def _conv_backward(
     The batch runs in the forward's sample ranges and chunks
     (``_sample_ranges``, run by ``_run_ranges``), so a conv whose work
     reaches ``_SPLIT_FLOP`` splits its backward across the cores as its
-    forward. Each chunk's columns are rebuilt in its range's scratch slot:
+    forward. Each chunk's columns are rebuilt in its range's scratch slots:
     the range's own dW accumulates ``g @ cols.T`` through its own product
     buffer, and, when dX is needed, ``W.T @ g`` overwrites the columns and
     col2im adds it into the chunk's samples of the reused ``col2im`` buffer,
@@ -649,10 +675,11 @@ def conv2d(
     the output spatial size is ceil(extent / stride).
 
     Every product is a 2-D GEMM over channel-major columns ``cols`` of shape
-    (C·kh·kw, N·Ho·Wo), copied from a strided ``sliding_window_view`` of the
-    padded input. Keeping C and kh·kw outermost makes the im2col copy and the
-    col2im adds run over contiguous (N, Ho, Wo) blocks, which row-major
-    (N·Ho·Wo, C·kh·kw) columns do not.
+    (C·kh·kw, N·Ho·Wo), copied from a read-only strided view (``_windows``)
+    of the chunk's input, same-padded into reused scratch. Keeping C and
+    kh·kw outermost makes the im2col copy and the col2im adds run over
+    contiguous (N, Ho, Wo) blocks, which row-major (N·Ho·Wo, C·kh·kw)
+    columns do not.
 
     The forward is ``conv2d_cnhw`` on the channel-major view of ``x``, taped
     or not, and the result is the NCHW view of its output. A tape keeps only

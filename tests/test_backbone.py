@@ -404,11 +404,14 @@ class TestSplitThreshold:
 
 
 class TestScratchHighWater:
-    def test_toy_training_step_keeps_column_slots_within_6_2_mib(self, monkeypatch):
-        # The convs of a toy training step at 8×32×88 (backbone and attention, forward and
-        # backward), two ranges as on two cores, on a fresh thread whose scratch starts empty.
-        # The largest column slot is then stage 1's one chunk per range, 288 rows × 2,816
-        # columns (6.2 MiB); a 32 MiB budget alone gave stage 0 chunks of 4 samples (12.4 MiB).
+    """The scratch one toy training step at 8×32×88 takes: the convs of the backbone and
+    attention, forward and backward, two ranges as on two cores, on a fresh thread whose
+    scratch starts empty."""
+
+    @staticmethod
+    def toy_step(monkeypatch):
+        """(thread ident, slot, size) per scratch request, the bytes each slot of the
+        step's thread holds after it, and that thread's ident."""
         monkeypatch.setattr(T, "_CORES", 2)
         cfg = BackboneConfig()
         bb = Backbone(cfg, np.random.default_rng(0))
@@ -416,24 +419,58 @@ class TestScratchHighWater:
         r = np.random.default_rng(2)
         image = Tensor(r.uniform(0, 1, (8, 1, 32, 88)))
         weight = Tensor(r.uniform(-1, 1, (8, cfg.out_channels, 4, 11)))
-        requests, held = [], {}
+        requests, held, caller = [], {}, []
         scratch = T._scratch
-        monkeypatch.setattr(T, "_scratch", lambda size, slot="cols": requests.append((slot, size)) or scratch(size, slot))
+
+        def record(size, slot="cols"):
+            requests.append((threading.get_ident(), slot, size))
+            return scratch(size, slot)
+
+        monkeypatch.setattr(T, "_scratch", record)
 
         def step():
+            caller.append(threading.get_ident())
             with Tape() as tape:
                 f = bb.forward(image, training=True)
                 root = sum_all(mul(scale_channels(f, att.forward(f)), weight))
             tape.backward(root)
-            held.update((slot, buf.nbytes) for slot, buf in vars(T._LOCAL).items() if slot.startswith("cols"))
+            held.update((slot, v.nbytes) for slot, v in vars(T._LOCAL).items() if isinstance(v, np.ndarray))
 
         t = threading.Thread(target=step)
         t.start()
         t.join(timeout=120)
         assert not t.is_alive() and held
+        return requests, held, caller[0]
+
+    def test_toy_training_step_keeps_column_slots_within_6_2_mib(self, monkeypatch):
+        # The largest column slot is stage 1's one chunk per range, 288 rows × 2,816
+        # columns (6.2 MiB); a 32 MiB budget alone gave stage 0 chunks of 4 samples (12.4 MiB).
+        requests, held, _ = self.toy_step(monkeypatch)
         limit = 6.2 * 2**20
-        assert max(8 * size for slot, size in requests if slot.startswith("cols")) <= limit
-        assert max(held.values()) <= limit
+        assert max(8 * size for _, slot, size in requests if slot.startswith("cols")) <= limit
+        assert max(nbytes for slot, nbytes in held.items() if slot.startswith("cols")) <= limit
+
+    def test_toy_training_step_keeps_pad_slots_within_1_5_mib(self, monkeypatch):
+        # The largest pad slot is stage 1's conv1 chunk: a range of 4 samples of the
+        # 16-channel stage-0 output, 32×88 padded to 33×89 for stride 2 (1.43 MiB).
+        requests, held, _ = self.toy_step(monkeypatch)
+        limit = 1.5 * 2**20
+        assert max(8 * size for _, slot, size in requests if slot.startswith("pad")) <= limit
+        assert 0 < max(nbytes for slot, nbytes in held.items() if slot.startswith("pad")) <= limit
+
+    def test_split_step_pads_in_scratch_taken_on_the_caller(self, monkeypatch):
+        # No chunk is padded by a fresh np.pad array, and every scratch request comes from
+        # the step's own thread, so a pool thread that claims a range allocates nothing
+        # per chunk in its own malloc arena, which would keep the memory.
+        def refuse(*args, **kwargs):
+            raise AssertionError("the conv path pads into scratch, not through np.pad")
+
+        monkeypatch.setattr(np, "pad", refuse)
+        monkeypatch.setattr(np.lib.stride_tricks, "sliding_window_view", refuse)
+        requests, _, caller = self.toy_step(monkeypatch)
+        assert {slot for _, slot, _ in requests} >= {"cols", "cols1", "pad", "pad1", "col2im"}
+        assert {ident for ident, _, _ in requests} == {caller}
+        assert T._POOL.submit(lambda: sorted(vars(T._LOCAL))).result(timeout=30) == []
 
 
 class TestAttention:

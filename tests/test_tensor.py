@@ -316,6 +316,7 @@ class TestConv2dGrid:
         chunked = self.taped_results(x, w, b, stride)
         assert len(chunks) == 2 * -(-5 // per_chunk)  # forward and backward
         assert slots.count("cols") == 2 and slots.count("col2im") == 1  # taken once per pass
+        assert slots.count("pad") == (0 if kernel == (1, 1) else 2)  # a 1×1 kernel pads nothing
         for got, want in zip(chunked, whole):
             assert rel_gap(got, want) <= 1e-12
 
@@ -426,6 +427,12 @@ def on_caller_or_pool(thread_name):
     return thread_name == threading.current_thread().name or thread_name.startswith("textrec-conv")
 
 
+def range_slots(p, pads=True):
+    """The scratch slots a conv of ``p`` ranges takes on the caller, in order: each
+    range's columns, and its padded input unless the conv pads nothing."""
+    return [slot + (str(i) if i else "") for i in range(p) for slot in ("cols", "pad")[: 1 + pads]]
+
+
 def fail_second_range(windows):
     """``_windows`` that raises on the 2-sample chunk: the second range of an N = 5 split, on any thread."""
 
@@ -451,7 +458,7 @@ class TestSplitConv:
 
     @staticmethod
     def traced(monkeypatch):
-        """Record (thread name, samples) per chunk and (slot, size) per scratch request."""
+        """Record (thread name, samples) per chunk and (thread name, slot, size) per scratch request."""
         chunks, requests = [], []
         windows, scratch = T._windows, T._scratch
 
@@ -460,7 +467,7 @@ class TestSplitConv:
             return windows(xs, *a)
 
         def record_scratch(size, slot="cols"):
-            requests.append((slot, size))
+            requests.append((threading.current_thread().name, slot, size))
             return scratch(size, slot)
 
         monkeypatch.setattr(T, "_windows", record_windows)
@@ -493,8 +500,9 @@ class TestSplitConv:
             assert np.array_equal(got, want)
         p = min(n, 2)
         assert all(on_caller_or_pool(thread) for thread, _ in chunks)
-        assert [slot for slot, _ in requests] == ["cols", "cols1"][:p]
-        assert all(size <= max(T._COLS_CHUNK // p, sample) for _, size in requests)
+        assert {thread for thread, _, _ in requests} == {threading.current_thread().name}
+        assert [slot for _, slot, _ in requests] == range_slots(p, kernel != (1, 1))
+        assert all(size <= max(T._COLS_CHUNK // p, sample) for _, slot, size in requests if slot.startswith("cols"))
         assert sum(samples for _, samples in chunks) == n
         if per_range is not None:
             assert all(samples == 1 for _, samples in chunks)
@@ -507,11 +515,12 @@ class TestSplitConv:
         chunks, requests = self.traced(monkeypatch)
         below = T.conv2d_cnhw(*args, **kwargs)
         assert {thread for thread, _ in chunks} == {threading.current_thread().name}
-        assert [slot for slot, _ in requests] == ["cols"]
+        assert [slot for _, slot, _ in requests] == ["cols", "pad"]
         monkeypatch.setattr(T, "_SPLIT_FLOP", work)
         del requests[:]
         at = T.conv2d_cnhw(*args, **kwargs)
-        assert [slot for slot, _ in requests] == ["cols", "cols1"]  # two ranges, whichever threads ran them
+        # two ranges, whichever threads ran them
+        assert [slot for _, slot, _ in requests] == ["cols", "pad", "cols1", "pad1"]
         assert rel_gap(at, below) <= 1e-12
 
     def test_worker_exception_reaches_caller_and_next_call_succeeds(self, monkeypatch):
@@ -627,7 +636,8 @@ class TestSplitBackward:
         got = split_backward(args)
         for a, b in zip(got, want):
             assert a.shape == b.shape and rel_gap(a, b) <= 1e-12
-        assert [slot for slot, _ in requests] == ["cols", "cols1"][: min(n, 2)] + ["col2im"]
+        assert [slot for _, slot, _ in requests] == range_slots(min(n, 2), kernel != (1, 1)) + ["col2im"]
+        assert {thread for thread, _, _ in requests} == {threading.current_thread().name}
         assert all(on_caller_or_pool(thread) for thread, _ in chunks)
         assert sorted(samples for _, samples in chunks) == sorted([n // 2 + n % 2, n // 2][: min(n, 2)])
 
@@ -732,13 +742,13 @@ class TestChunkPlan:
         forward = [samples for _, samples in chunks]
         del chunks[:]
         T._conv_backward(x, wt, (stride, stride), y, True)
-        return forward, [samples for _, samples in chunks], [slot for slot, _ in requests]
+        return forward, [samples for _, samples in chunks], [slot for _, slot, _ in requests]
 
     def test_toy_stage0_conv_runs_one_sample_chunks(self, monkeypatch):
         # 2,816 output columns per sample already reach the GEMM-width floor
         forward, backward, slots = self.planned(monkeypatch, 16, 16, 3, 1, 8, 32, 88)
         assert forward == backward == [1] * 8
-        assert slots == ["cols", "cols1", "cols", "cols1", "col2im"]
+        assert slots == 2 * range_slots(2) + ["col2im"]
 
     @pytest.mark.parametrize(
         "c,k,kernel,stride,h,w",
@@ -769,7 +779,65 @@ class TestChunkPlan:
             monkeypatch.setattr(T, "_COLS_CHUNK", 4 * 2 * 9 * 35)
         forward, backward, slots = self.planned(monkeypatch, 2, 3, 3, 1, 5, 5, 7)
         assert forward == backward == [3, 2]
-        assert slots == ["cols", "cols", "col2im"]
+        assert slots == 2 * range_slots(1) + ["col2im"]
+
+
+def reference_windows(x, kh, kw, sh, sw, pad):
+    """``_windows`` built as ``np.pad`` and ``sliding_window_view`` build it, ignoring ``pad``."""
+    _, pt, pb = T._same_pad(x.shape[2], kh, sh)
+    _, pl, pr = T._same_pad(x.shape[3], kw, sw)
+    xp = np.pad(x, ((0, 0), (0, 0), (pt, pb), (pl, pr)))
+    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::sh, ::sw]
+    return win.transpose(0, 4, 5, 1, 2, 3)
+
+
+class TestPadScratch:
+    """Each chunk is same-padded into its range's ``pad`` slot, which an earlier, larger
+    conv leaves full of its own values: here NaN, so any element the pad does not
+    write would show in every output and gradient."""
+
+    @staticmethod
+    def stale_pads():
+        for slot in ("pad", "pad1"):
+            T._scratch(1 << 12, slot)[:] = np.nan
+
+    @pytest.mark.parametrize("split", [False, True], ids=["serial", "split"])
+    @pytest.mark.parametrize("extent", [(5, 7), (6, 8)], ids=["odd", "even"])
+    @pytest.mark.parametrize("kernel,stride,padding,bias", SAME_GRID)
+    def test_stale_pad_slots_match_np_pad_bitwise(self, monkeypatch, kernel, stride, padding, bias, extent, split):
+        # N = 5 in chunks of 3 + 2 (serial) or ranges of 3 and 2 (split); at stride 2 an even
+        # extent pads one pixel below or right only. bias selects the epilogue and the
+        # NCHW-view gradient. The reference is the same engine on np.pad windows.
+        r = rng()
+        x = r.uniform(-2, 2, (5, 2) + extent).transpose(1, 0, 2, 3)  # channel-major view
+        w = r.uniform(-1, 1, (3, 2) + kernel)
+        ho, wo = -(-extent[0] // stride[0]), -(-extent[1] // stride[1])
+        g = r.uniform(-1, 1, (5, 3, ho, wo)).transpose(1, 0, 2, 3) if bias else r.uniform(-1, 1, (3, 5, ho, wo))
+        kwargs = dict(scale=r.uniform(0.5, 1.5, 3), shift=r.uniform(-1, 1, 3)) if bias else {}
+        monkeypatch.setattr(T, "_MIN_GEMM_COLS", 2 * ho * wo)
+        monkeypatch.setattr(T, "_CORES", 2)
+        monkeypatch.setattr(T, "_SPLIT_FLOP", 0 if split else float("inf"))
+        with monkeypatch.context() as m:
+            m.setattr(T, "_windows", reference_windows)
+            want = T.conv2d_cnhw(x, w, stride, **kwargs), *split_backward((x, w, stride, g, True))
+        self.stale_pads()
+        y = T.conv2d_cnhw(x, w, stride, **kwargs)
+        self.stale_pads()
+        got = y, *split_backward((x, w, stride, g, True))
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("extent", [(5, 7), (6, 8)], ids=["odd", "even"])
+    @pytest.mark.parametrize(
+        "kernel,stride", [((3, 3), (2, 2)), ((3, 1), (1, 1)), ((1, 1), (2, 2))], ids=["k3x3-s2", "k3x1-s1", "k1x1-s2"]
+    )
+    def test_windows_are_read_only_and_equal_np_pad(self, kernel, stride, extent):
+        x = rng().uniform(-2, 2, (2, 3) + extent)
+        pad = np.full(1 << 12, np.nan)
+        win = T._windows(x, *kernel, *stride, pad)
+        assert not win.flags.writeable
+        assert np.array_equal(win, reference_windows(x, *kernel, *stride, None))
+        assert np.shares_memory(win, x) == (kernel == (1, 1))  # a 1×1 kernel pads nothing
 
 
 class TestRunRanges:
