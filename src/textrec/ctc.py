@@ -118,13 +118,16 @@ def _log_alpha(emit: np.ndarray, ext: np.ndarray) -> np.ndarray:
     """
     t_len, s_len = emit.shape
     skip = 2 + np.flatnonzero((ext[2:] != BLANK) & (ext[2:] != ext[:-2]))
+    src = skip - 2
     alpha = np.full((t_len, s_len), NEG_INF)
     alpha[0, :2] = 0.0
+    prev = np.empty(s_len)
     for t in range(1, t_len):
-        prev = alpha[t - 1] + emit[t - 1]
-        alpha[t] = prev
-        alpha[t, 1:] = np.logaddexp(prev[1:], prev[:-1])
-        alpha[t, skip] = np.logaddexp(alpha[t, skip], prev[skip - 2])
+        row = alpha[t]
+        np.add(alpha[t - 1], emit[t - 1], out=prev)
+        row[0] = prev[0]
+        np.logaddexp(prev[1:], prev[:-1], out=row[1:])
+        row[skip] = np.logaddexp(row[skip], prev[src])
     return alpha
 
 

@@ -64,7 +64,10 @@ class Tensor:
         return self.data.size
 
     def item(self) -> float:
-        return float(self.data)
+        """The single element of a tensor of size 1, whatever its rank."""
+        if self.data.size != 1:
+            raise ShapeError(f"item() needs a tensor of size 1, got shape {self.data.shape}")
+        return self.data.item()
 
     def accumulate_grad(self, g: np.ndarray) -> None:
         if g.shape != self.data.shape:
@@ -81,8 +84,14 @@ class Tensor:
 
 
 def parameter(data) -> Tensor:
-    """Wrap an array (copied) as a trainable tensor."""
-    return Tensor(np.array(data, dtype=np.float64, copy=True), requires_grad=True)
+    """Take over ``data`` as a trainable tensor.
+
+    The caller hands the array over: a float64 ndarray becomes the tensor's
+    storage, uncopied, so a build holds each parameter once and peaks at no
+    more than it keeps (as ``torch.from_numpy`` shares its buffer). Lists and
+    other dtypes are converted into a new array.
+    """
+    return Tensor(data, requires_grad=True)
 
 
 class Tape:

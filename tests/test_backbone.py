@@ -192,6 +192,24 @@ class TestParameterWalk:
         assert len(bb.norm_states()) == states and list(bb.norm_states())[0] == "stem_bn.state"
 
 
+class TestBuildMemory:
+    def test_backbone_build_peaks_at_what_it_holds(self):
+        # parameter() takes over each freshly drawn array, so building holds every
+        # parameter once and never a second copy of the largest weight
+        rng = np.random.default_rng(0)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            bb = Backbone(BackboneConfig(), rng)
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        held, grown = current - base, peak - base
+        assert sum(p.data.nbytes for p in bb.parameters().values()) <= held
+        assert grown <= 1.01 * held
+
+
 class TestBlockOp:
     @pytest.mark.parametrize("n", [1, 3])
     @pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])

@@ -6,7 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from textrec.ctc import (
+    BLANK,
     Alphabet,
+    _interleave,
+    _log_alpha,
     collapse,
     ctc_loss,
     greedy_decode,
@@ -169,6 +172,36 @@ class TestLossGradient:
             logits.data -= 0.5 * logits.grad
             losses.append(float(loss.data))
         assert losses[-1] < losses[0] * 0.5
+
+
+def log_alpha_reference(emit: np.ndarray, ext: np.ndarray) -> np.ndarray:
+    """The lattice recursion written with fresh arrays per frame, as first shipped."""
+    t_len, s_len = emit.shape
+    skip = 2 + np.flatnonzero((ext[2:] != BLANK) & (ext[2:] != ext[:-2]))
+    alpha = np.full((t_len, s_len), -np.inf)
+    alpha[0, :2] = 0.0
+    for t in range(1, t_len):
+        prev = alpha[t - 1] + emit[t - 1]
+        alpha[t] = prev
+        alpha[t, 1:] = np.logaddexp(prev[1:], prev[:-1])
+        alpha[t, skip] = np.logaddexp(alpha[t, skip], prev[skip - 2])
+    return alpha
+
+
+class TestLattice:
+    @pytest.mark.parametrize("t_len,label_len", [(1, 0), (6, 1), (11, 4), (35, 16), (43, 18)])
+    def test_alpha_and_beta_equal_the_reference_recursion_bitwise(self, t_len, label_len):
+        rng = np.random.default_rng(t_len)
+        for _ in range(4):
+            # three symbols, so labels repeat and the lattice loses some skips
+            ext = _interleave([int(k) for k in rng.integers(1, 4, label_len)])
+            probs = random_row_stochastic(rng, t_len, 4)
+            probs[rng.random(probs.shape) < 0.05] = 0.0  # -inf emissions
+            with np.errstate(divide="ignore"):
+                emit = np.log(probs)[:, ext]
+            rev_emit, rev_ext = emit[::-1, ::-1], ext[::-1]
+            assert np.array_equal(_log_alpha(emit, ext), log_alpha_reference(emit, ext))
+            assert np.array_equal(_log_alpha(rev_emit, rev_ext), log_alpha_reference(rev_emit, rev_ext))
 
 
 class TestGreedyDecode:

@@ -31,6 +31,32 @@ def sigmoid_two_branch(v):
     return np.clip(out, np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0))
 
 
+class TestTensor:
+    @pytest.mark.parametrize("shape", [(), (1,), (1, 1)])
+    def test_item_returns_the_one_element_at_any_rank(self, shape):
+        value = Tensor(np.full(shape, 2.5)).item()
+        assert value == 2.5 and type(value) is float
+
+    def test_item_of_two_elements_raises(self):
+        with pytest.raises(ShapeError):
+            Tensor(np.array([1.0, 2.0])).item()
+
+    def test_parameter_takes_over_a_float64_array(self):
+        data = np.arange(6.0).reshape(2, 3)
+        p = T.parameter(data)
+        assert np.shares_memory(p.data, data) and p.requires_grad
+
+    def test_parameter_converts_a_list(self):
+        p = T.parameter([1.0, 2.0, 3.0])
+        assert p.data.dtype == np.float64 and np.array_equal(p.data, [1.0, 2.0, 3.0])
+
+    def test_parameter_converts_a_float32_array(self):
+        data = np.array([1.0, 2.0, 3.0], dtype=np.float32)
+        p = T.parameter(data)
+        assert p.data.dtype == np.float64 and np.array_equal(p.data, data)
+        assert not np.shares_memory(p.data, data)
+
+
 class TestElementwise:
     def test_sigmoid_at_zero(self):
         y = T.sigmoid(Tensor(np.zeros((2, 2))))
