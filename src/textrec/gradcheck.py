@@ -66,7 +66,7 @@ def check_gradients(
     ]
 
     def forward() -> float:
-        return float(build().data)
+        return build().item()
 
     worst = 0.0
     for leaf, ana in zip(leaves, analytic):

@@ -330,6 +330,33 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
 
 # ---------------------------------------------------------------------------
 # 2-D convolution (cross-correlation), NCHW layout
+#
+# Every conv is GEMMs over channel-major im2col columns, (C·kh·kw, N·Ho·Wo), so
+# the im2col copy and the col2im adds run over contiguous (N, Ho, Wo) blocks and
+# each GEMM writes its block of the channel-major output in place. ``_plan``
+# decides how a conv runs, by four rules:
+#
+# - The split. A conv whose work 2·K·C·kh·kw·N·Ho·Wo reaches ``_SPLIT_FLOP``
+#   cuts its batch into P = min(N, ``_CORES``) contiguous sample ranges, the
+#   per-core batch split of Caffe con Troll (Hadjis et al., arXiv:1504.04343);
+#   a smaller conv is one range. ``_run_ranges`` runs the ranges, forward and
+#   backward alike, and each writes only its own samples of the results.
+# - The chunk plan. Columns are the memory im2col costs (MEC, Cho & Brand,
+#   arXiv:1706.06873), so a range runs in the most whole-sample chunks whose
+#   GEMMs all keep at least ``_MIN_GEMM_COLS`` columns (one chunk if the range
+#   has fewer), unless a chunk's columns would then exceed ``_COLS_CHUNK // P``
+#   elements: then in the fewest chunks within that, one sample each if one
+#   sample exceeds it. ``_even_bounds`` sizes the chunks. The plan depends only
+#   on the shapes, so a backward rebuilds its forward's columns.
+# - Scratch taken on the caller. Range i fills one slot of the calling thread,
+#   ``cols`` or ``cols{i}``, which holds its largest chunk's columns and behind
+#   them that chunk's same-padded input, unless the conv pads nothing (a 1×1
+#   kernel reads its input unpadded). So a pool thread that runs a range
+#   allocates nothing: its own malloc arena would keep what it took.
+# - dX is a view. ``_conv_backward`` returns dX as a view of the calling
+#   thread's ``col2im`` slot, so it must be consumed (copied, added or
+#   multiplied into another array) before the next conv backward runs, even
+#   within one pull.
 
 
 def _same_pad(extent: int, k: int, stride: int) -> tuple[int, int, int]:
@@ -339,47 +366,21 @@ def _same_pad(extent: int, k: int, stride: int) -> tuple[int, int, int]:
     return out, lo, total - lo  # odd padding puts the extra pixel low/right
 
 
-# A chunk's columns only widen its GEMM (Caffe con Troll batches its lowering
-# for that alone, Hadjis et al., arXiv:1504.04343), and they are the memory
-# im2col costs (MEC, Cho & Brand, arXiv:1706.06873): each scratch slot lives
-# as long as its thread, under every step's peak. So ``_column_chunks`` cuts
-# a range into the most whole-sample chunks whose GEMMs all keep at least
-# _MIN_GEMM_COLS columns (N·Ho·Wo). A toy stage-0 conv at 8×32×88 gives 2,816
-# columns per sample, so its ranges run one-sample chunks and its slots shrink
-# from 12.4 to 3.1 MiB; the largest slot of a toy step is then stage 1's
-# 6.2 MiB. On a 2-core KVM guest (one BLAS thread) that took `train_toy`'s
-# peak RSS from a median 127.9 to 115.5 MiB over 10 benchmark pairs, at the
-# same throughput. A 1,024-column floor peaked near 101 MiB, but glibc then
-# handed the step's heap back and faulted it in again every step (about
-# 9,000 minor faults per step), and the median step grew 5-20%; at 2,048 a
-# steady-state step faults 0 times, as the budget-only plan did.
+# At a 1,024-column floor glibc handed a training step's heap back and faulted it
+# in again every step (about 9,000 minor faults a step, 5-20% slower); at 2,048 a
+# steady-state step faults 0 times.
 _MIN_GEMM_COLS = 2048
 
-# A chunk's columns also hold at most this many elements (32 MiB) unless one
-# sample needs more, which bounds large batches: a full-batch block (about
-# 100 MiB at paper scale) would raise peak memory, not reuse it. A split conv
-# gives each of its P ranges 1/P of it, so its columns stay within the same
-# bound.
+# A chunk's columns hold at most this many elements (32 MiB) unless one sample needs
+# more. In the benchmark workloads this binds only on paper-scale stage 1's
+# 128-channel 3×3 convs at widths 72 and 88.
 _COLS_CHUNK = 1 << 22
 
-# A conv splits its batch across the cores, forward and backward, when its
-# work 2·K·C·kh·kw·N·Ho·Wo is at least this many FLOP. A per-conv sweep on a
-# 2-core Xeon KVM guest (one BLAS thread, both cores free; the speed-up of the
-# split over the serial engine, on the fastest of 30 interleaved runs each):
-#   toy, batch 8 at widths 56/72/88:
-#     3×3 block convs, 3.3e7-1.04e8: forward 0.91-1.96×, backward 1.11-1.96×;
-#     1×1 projections, 3.7e6-5.8e6: forward 0.55-1.03×, backward 0.75-1.58×;
-#     stem, 4.1e6-6.5e6: forward 0.73-0.84×, backward 0.78-0.93×;
-#   long-line, batch 2 at widths 280/344: the stage-0 convs, 5.2e6-6.3e6,
-#     forward 0.99-1.10× and backward 1.16-1.34×; every other conv, at most
-#     1.6e6, 0.28-0.97×;
-#   paper-scale stem forward, batch 8, 1.65e7-2.6e7: 1.2×.
-# So the break-even lies near 5e6 for a backward and near 3e7 for a deep-stage
-# forward. The line sits between the largest toy stem or projection and
-# long-line conv (6.5e6) and the smallest 3×3 toy block conv (3.3e7): all 8
-# of those split, 97% of a toy step's conv FLOP, and a long-line step stays
-# serial. At paper scale every block conv and projection splits, and the stem
-# from width 72 up.
+# A per-conv sweep on a 2-core guest (one BLAS thread) put the split's break-even
+# near 5e6 FLOP for a backward and near 3e7 for a deep-stage forward. The line
+# sits between the largest toy stem, toy projection or long-line conv (6.5e6) and
+# the smallest toy 3×3 block conv (3.3e7): every toy block conv splits, and no
+# long-line conv does.
 _SPLIT_FLOP = 2e7
 
 # The cores this process may run on; a split conv runs at most this many ranges.
@@ -403,37 +404,9 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_new_pool)
 
 
-def _scratch(size: int, slot: str = "cols") -> np.ndarray:
-    """This thread's reusable conv buffer ``slot``, grown to hold ``size`` elements.
-
-    Slot ``cols`` holds one chunk's im2col columns, in every forward and
-    again in a taped conv's backward, where it then holds the chunk's column
-    gradient. Slot ``pad`` holds the same chunk's same-padded input, which
-    ``_windows`` reads the columns from. Slots ``cols1``, ``pad1``,
-    ``cols2``, ``pad2``, ... hold the same for the other ranges of a split
-    ``conv2d_cnhw`` or ``_conv_backward``. Slot ``col2im``
-    holds a taped conv's padded input gradient; each range of a split
-    backward writes only its own samples of it. All live as long as the
-    thread, so the training and eval paths stop allocating, and
-    page-faulting, their largest temporaries per call. So each slot keeps
-    the largest chunk any call asked of it under every later peak, which is
-    why ``_column_chunks`` sizes chunks by GEMM width (``_MIN_GEMM_COLS``)
-    and takes ``pad`` only for a conv that pads.
-
-    Every thread has its own buffers, so callers on different threads never
-    share one. A split conv takes every range's buffers on the calling thread
-    before ``_run_ranges`` runs the ranges, so a range fills the slot taken
-    for it on whichever thread runs it, and a pool thread takes no scratch of
-    its own and allocates nothing per chunk: its memory would come from its
-    own allocator arena, which keeps it and cannot reuse what the calling
-    thread's arena already holds (column buffers taken on the pool thread
-    cost a paper-scale eval run about 12 MiB more peak RSS, and chunks padded
-    there by a fresh array per chunk left its arena holding 7 MB).
-    Whatever a caller gets back is overwritten by the next call for the same
-    slot on the same thread, so no op returns a view of it that outlives one
-    tape pull, and a dX view of ``col2im`` is consumed before the next conv
-    backward runs, even within one pull.
-    """
+def _scratch(size: int, slot: str) -> np.ndarray:
+    """The calling thread's buffer ``slot``, grown to hold ``size`` elements and
+    overwritten by the next request for the same slot on the same thread."""
     buf = getattr(_LOCAL, slot, None)
     if buf is None or buf.size < size:
         buf = np.empty(size)
@@ -442,14 +415,9 @@ def _scratch(size: int, slot: str = "cols") -> np.ndarray:
 
 
 def _windows(x: np.ndarray, kh: int, kw: int, sh: int, sw: int, pad: np.ndarray | None) -> np.ndarray:
-    """(C, kh, kw, N, Ho, Wo) read-only strided view of the kernel windows of
-    channel-major (C, N, H, W) ``x``, same-padded.
-
-    A conv that pads writes ``x`` into the front of the flat buffer ``pad``,
-    zeroing only the four border strips around the copied interior, and the
-    view reads that copy; one that needs no padding (a 1×1 kernel) reads ``x``
-    itself, and ``pad`` may then be None.
-    """
+    """Read-only (C, kh, kw, N, Ho, Wo) view of the same-padded kernel windows of
+    channel-major (C, N, H, W) ``x``, padded into the front of the flat buffer
+    ``pad``; a conv that pads nothing reads ``x`` itself and may pass None."""
     c, n, h, wd = x.shape
     ho, pt, pb = _same_pad(h, kh, sh)
     wo, pl, pr = _same_pad(wd, kw, sw)
@@ -472,65 +440,37 @@ def _even_bounds(n: int, p: int) -> list[int]:
     return [i * (n // p) + min(i, n % p) for i in range(p + 1)]
 
 
-def _column_chunks(x: np.ndarray, kh: int, kw: int, sh: int, sw: int, budget: int, tag: str):
-    """Iterator of ``(s, e, cols)`` over whole-sample chunks of channel-major ``x``.
-
-    ``cols`` is the (C, kh, kw, e - s, Ho, Wo) im2col of samples ``s:e``. The
-    N samples run in the most chunks, sized by ``_even_bounds``, whose GEMMs
-    all keep at least ``_MIN_GEMM_COLS`` columns (one chunk if N·Ho·Wo is
-    below it), unless a chunk would then exceed ``budget`` elements: then in
-    the fewest chunks within it (chunks of one sample if one sample exceeds
-    it). The plan depends only on the shapes, so a backward rebuilds the
-    forward's chunks. Every chunk is padded by ``_windows`` into the calling
-    thread's ``pad{tag}`` scratch, sized for the largest chunk's padded input
-    and taken only when the conv pads, and copied into its ``cols{tag}``
-    scratch. Both are taken when this is called rather than when it is
-    iterated, so a pool thread that iterates it fills its caller's buffers
-    and allocates nothing.
-    """
+def _plan(x: np.ndarray, kh: int, kw: int, sh: int, sw: int, k: int) -> list:
+    """``(chunks, buf, pad)`` per sample range of a conv of ``k`` kernels over
+    channel-major ``x``: the range's chunk bounds ``(s, e)`` as sample indices of
+    ``x``, and the column and padded-input regions of its scratch slot, ``pad``
+    None when the conv pads nothing."""
     c, n, h, wd = x.shape
     ho, pt, pb = _same_pad(h, kh, sh)
     wo, pl, pr = _same_pad(wd, kw, sw)
-    sample = c * kh * kw * ho * wo
+    sample = c * kh * kw * ho * wo  # one sample's columns
+    padded = c * (pt + h + pb) * (pl + wd + pr) if pt or pb or pl or pr else 0
+    p = 1 if 2 * k * sample * n < _SPLIT_FLOP else max(1, min(n, _CORES))
     narrowest = -(-_MIN_GEMM_COLS // (ho * wo))  # samples that give a GEMM the floor's columns
-    widest = max(1, budget // sample)  # samples whose columns fit the budget
-    parts = max(1, n // narrowest, -(-n // widest))
-    bounds = _even_bounds(n, parts)
-    buf = _scratch(bounds[1] * sample, "cols" + tag)
-    padded = c * bounds[1] * (pt + h + pb) * (pl + wd + pr)
-    pad = _scratch(padded, "pad" + tag) if pt or pb or pl or pr else None
-
-    def chunks():
-        for s, e in zip(bounds, bounds[1:]):
-            win = _windows(x[:, s:e], kh, kw, sh, sw, pad)
-            cols = buf[: win.size].reshape(win.shape)
-            np.copyto(cols, win)
-            yield s, e, cols
-
-    return chunks()
+    widest = max(1, _COLS_CHUNK // p // sample)  # samples whose columns fit the budget
+    ranges = _even_bounds(n, p)
+    plan = []
+    for i, (lo, hi) in enumerate(zip(ranges, ranges[1:])):
+        m = hi - lo
+        bounds = [lo + b for b in _even_bounds(m, max(1, m // narrowest, -(-m // widest)))]
+        most = bounds[1] - lo
+        slot = _scratch(most * (sample + padded), f"cols{i}" if i else "cols")
+        plan.append((list(zip(bounds, bounds[1:])), slot[: most * sample], slot[most * sample :] if padded else None))
+    return plan
 
 
-def _sample_ranges(x: np.ndarray, kh: int, kw: int, sh: int, sw: int, flop: int) -> list:
-    """A conv's batch as ``(lo, chunks)`` per sample range, for ``_run_ranges``.
-
-    A conv over channel-major ``x`` whose work ``flop``, 2·K·C·kh·kw·N·Ho·Wo,
-    reaches ``_SPLIT_FLOP`` gets P = min(N, ``_CORES``) contiguous ranges from
-    ``_even_bounds``; a smaller conv gets one. Range i starts at sample ``lo``
-    and iterates the ``_column_chunks`` of its own samples, with a budget of
-    ``_COLS_CHUNK // P`` elements, in the calling thread's scratch slots
-    ``cols`` and ``pad`` (i = 0) or ``cols{i}`` and ``pad{i}``. Each range
-    plans its chunks from its own sample count, so the GEMM-width floor holds
-    per range: the toy stage-0 convs run one-sample chunks in each of two
-    ranges of 4, and the paper-scale stage-2 and stage-3 convs one chunk per
-    range.
-    """
-    n = x.shape[1]
-    p = 1 if flop < _SPLIT_FLOP else max(1, min(n, _CORES))
-    bounds = _even_bounds(n, p)
-    return [
-        (lo, _column_chunks(x[:, lo:hi], kh, kw, sh, sw, _COLS_CHUNK // p, str(i) if i else ""))
-        for i, (lo, hi) in enumerate(zip(bounds, bounds[1:]))
-    ]
+def _im2col(x: np.ndarray, kh: int, kw: int, sh: int, sw: int, buf: np.ndarray, pad: np.ndarray | None) -> np.ndarray:
+    """The (C, kh, kw, N, Ho, Wo) columns of channel-major ``x``, copied into the
+    front of ``buf`` from its windows padded into ``pad``."""
+    win = _windows(x, kh, kw, sh, sw, pad)
+    cols = buf[: win.size].reshape(win.shape)
+    np.copyto(cols, win)
+    return cols
 
 
 def _run_ranges(tasks: Sequence[Callable[[], None]]) -> None:
@@ -570,52 +510,28 @@ def conv2d_cnhw(
 ) -> np.ndarray:
     """Same-padded conv of a channel-major (C, N, H, W) array, with no tape.
 
-    Returns a fresh (K, N, Ho, Wo) array: the conv output times ``scale``
-    plus ``shift`` (per output channel), each step skipped when not given;
-    eval-mode BN passes its frozen normalization this way. The batch runs in
-    the whole-sample chunks of ``_column_chunks``. Channel-major output is
-    what the GEMM writes, so each chunk's ``W @ cols`` lands straight in its
-    column block of the output, and the scale and shift run in place on
-    that block while it is in cache. A chunk holds the fewest samples that
-    still give its GEMM ``_MIN_GEMM_COLS`` columns: the deep stages, whose
-    samples have few output pixels, keep one GEMM per range and stay
-    GEMM-bound, while the full-resolution stem (and the toy stage 0) run one
-    sample per chunk in a quarter of the columns a range of 4 needed.
-
-    A call whose work 2·K·C·kh·kw·N·Ho·Wo reaches ``_SPLIT_FLOP`` splits its
-    batch into P = min(N, ``_CORES``) contiguous sample ranges, the per-core
-    batch split of Caffe con Troll (Hadjis et al., arXiv:1504.04343), which
-    also spreads the im2col copies and the epilogue that a threaded BLAS
-    would leave on one core. ``_sample_ranges`` sets P and gives each range
-    its own chunk loop, planned from the range's own samples with a budget
-    of ``_COLS_CHUNK // P`` elements, in its own scratch slots of the calling
-    thread; ``_run_ranges`` runs the ranges on the caller and ``_POOL``, and
-    each writes its own column blocks of the one output. An exception raised in any range reaches the caller once
-    every range has stopped. Every 3×3 block conv of the toy and paper-scale
-    configs splits, and no conv of the long-line config (see
-    ``_SPLIT_FLOP``); a smaller call, and every call when P = 1, is one range
-    run inline. The pool threads run only this numpy loop and never read or
-    record onto a tape.
+    Returns a fresh (K, N, Ho, Wo) array: the conv output times ``scale`` plus
+    ``shift`` (per output channel), each step skipped when not given. An
+    exception raised in any range reaches the caller once every range has
+    stopped.
     """
     k, _, kh, kw = w.shape
     sh, sw = stride
-    n = x.shape[1]
     ho, wo = _same_pad(x.shape[2], kh, sh)[0], _same_pad(x.shape[3], kw, sw)[0]
     wmat = w.reshape(k, -1)
-    hw = ho * wo
-    out = np.empty((k, n, ho, wo))
+    out = np.empty((k, x.shape[1], ho, wo))
     flat = out.reshape(k, -1)
 
-    def run(lo: int, chunks) -> None:
-        for s, e, cols in chunks:
-            y = flat[:, (lo + s) * hw : (lo + e) * hw]
-            np.matmul(wmat, cols.reshape(wmat.shape[1], -1), out=y)
+    def run(chunks, buf: np.ndarray, pad: np.ndarray | None) -> None:
+        for s, e in chunks:
+            y = flat[:, s * ho * wo : e * ho * wo]
+            np.matmul(wmat, _im2col(x[:, s:e], kh, kw, sh, sw, buf, pad).reshape(wmat.shape[1], -1), out=y)
             if scale is not None:
                 y *= scale[:, None]
             if shift is not None:
                 y += shift[:, None]
 
-    _run_ranges([partial(run, *r) for r in _sample_ranges(x, kh, kw, sh, sw, 2 * wmat.size * n * hw)])
+    _run_ranges([partial(run, *r) for r in _plan(x, kh, kw, sh, sw, k)])
     return out
 
 
@@ -624,21 +540,10 @@ def _conv_backward(
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """dW, and dX if ``need_dx``, of ``conv2d_cnhw(x, w, stride)`` for its output gradient ``g``.
 
-    ``x`` and ``g`` are channel-major, (C, N, H, W) and (K, N, Ho, Wo); a
-    contiguous ``g`` hands each chunk's (K, n·Ho·Wo) block over as a view.
-    The batch runs in the forward's sample ranges and chunks
-    (``_sample_ranges``, run by ``_run_ranges``), so a conv whose work
-    reaches ``_SPLIT_FLOP`` splits its backward across the cores as its
-    forward. Each chunk's columns are rebuilt in its range's scratch slots:
-    the range's own dW accumulates ``g @ cols.T`` through its own product
-    buffer, and, when dX is needed, ``W.T @ g`` overwrites the columns and
-    col2im adds it into the chunk's samples of the reused ``col2im`` buffer,
-    zeroed chunk by chunk, so ranges write disjoint slices. The accumulators
-    and product buffers are taken here on the calling thread, and a split
-    call's partial dWs are summed in range order, so the result does not
-    depend on which thread ran which range. dX is a (C, N, H, W) view of the
-    ``col2im`` buffer, so it must be consumed (copied, added or multiplied
-    into another array) before the next conv backward runs.
+    ``x`` and ``g`` are channel-major, (C, N, H, W) and (K, N, Ho, Wo). A split
+    call sums its ranges' dWs in range order, so the result does not depend on
+    which thread ran which range. dX is a (C, N, H, W) view of the ``col2im``
+    slot.
     """
     c, n, h, wd = x.shape
     k, _, kh, kw = w.shape
@@ -646,17 +551,17 @@ def _conv_backward(
     ho, pt, pb = _same_pad(h, kh, sh)
     wo, pl, pr = _same_pad(wd, kw, sw)
     wmat = w.reshape(k, -1)
-    ranges = _sample_ranges(x, kh, kw, sh, sw, 2 * wmat.size * n * ho * wo)
-    dws = np.zeros((len(ranges),) + wmat.shape)
+    plan = _plan(x, kh, kw, sh, sw, k)
+    dws = np.zeros((len(plan),) + wmat.shape)
     prods = np.empty_like(dws)
     if need_dx:
         hp, wp = h + pt + pb, wd + pl + pr
         dxp = _scratch(c * n * hp * wp, "col2im").reshape(c, n, hp, wp)
 
-    def run(lo: int, chunks, dw: np.ndarray, prod: np.ndarray) -> None:
-        for s, e, cols in chunks:
-            s, e = lo + s, lo + e
+    def run(chunks, buf: np.ndarray, pad: np.ndarray | None, dw: np.ndarray, prod: np.ndarray) -> None:
+        for s, e in chunks:
             g2 = g[:, s:e].reshape(k, -1)
+            cols = _im2col(x[:, s:e], kh, kw, sh, sw, buf, pad)
             cmat = cols.reshape(wmat.shape[1], -1)
             dw += np.matmul(g2, cmat.T, out=prod)
             if need_dx:
@@ -666,9 +571,9 @@ def _conv_backward(
                     for j in range(kw):
                         dxp[:, s:e, i : i + sh * ho : sh, j : j + sw * wo : sw] += cols[:, i, j]
 
-    _run_ranges([partial(run, *r, dw, prod) for r, dw, prod in zip(ranges, dws, prods)])
+    _run_ranges([partial(run, *r, dw, prod) for r, dw, prod in zip(plan, dws, prods)])
     dx = dxp[:, :, pt : pt + h, pl : pl + wd] if need_dx else None
-    dw = dws[0] if len(ranges) == 1 else dws.sum(axis=0)
+    dw = dws[0] if len(plan) == 1 else dws.sum(axis=0)
     return dw.reshape(w.shape), dx
 
 
@@ -681,29 +586,10 @@ def conv2d(
     """Strided 2-D cross-correlation of NCHW input with KCkhkw kernels.
 
     Padding is "same": symmetric with the extra pixel on the bottom/right, and
-    the output spatial size is ceil(extent / stride).
-
-    Every product is a 2-D GEMM over channel-major columns ``cols`` of shape
-    (C·kh·kw, N·Ho·Wo), copied from a read-only strided view (``_windows``)
-    of the chunk's input, same-padded into reused scratch. Keeping C and
-    kh·kw outermost makes the im2col copy and the col2im adds run over
-    contiguous (N, Ho, Wo) blocks, which row-major (N·Ho·Wo, C·kh·kw)
-    columns do not.
-
-    The forward is ``conv2d_cnhw`` on the channel-major view of ``x``, taped
-    or not, and the result is the NCHW view of its output. A tape keeps only
-    the input and the weights, not the columns (9× the input for a 3×3
-    kernel). The pull is ``_conv_backward``, which rebuilds each chunk's
-    columns in the reused scratch, trading one extra im2col per conv
-    for the stored columns (recompute-for-memory, Chen et al.,
-    arXiv:1604.06174). Two invariants make it sound:
-
-    - a taped input is not mutated before backward, as ``mul`` and
-      ``matmul`` also assume, so the rebuilt columns equal the forward's;
-    - every dX view of the ``col2im`` buffer is consumed before the next
-      conv backward runs, in this pull or in any other op's (the residual
-      block's pull runs several): here ``Tape.backward`` copies or adds the
-      returned gradient into the input's own ``grad`` at once.
+    the output spatial size is ceil(extent / stride). A tape keeps only the
+    input and the weights, and the pull rebuilds the columns (recompute-for-
+    memory, Chen et al., arXiv:1604.06174), so a taped input must not be
+    mutated before backward, as ``mul`` and ``matmul`` also assume.
     """
     if x.ndim != 4 or w.ndim != 4:
         raise ShapeError(f"conv2d expects 4-D input and kernel, got {x.shape}, {w.shape}")

@@ -5,11 +5,10 @@ import time
 import tracemalloc
 import weakref
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from textrec import tensor as T
 from textrec.errors import ShapeError
@@ -137,17 +136,14 @@ class TestSoftmax:
         assert np.all(np.isfinite(y.data))
         assert y.data.sum() == pytest.approx(1.0, abs=1e-12)
 
-    @given(
-        st.lists(
-            st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=2, max_size=6),
-            min_size=1,
-            max_size=5,
-        ).filter(lambda rows: len({len(r) for r in rows}) == 1)
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_rows_sum_to_one(self, rows):
-        y = T.softmax_rows(Tensor(np.array(rows, dtype=np.float64)))
-        np.testing.assert_allclose(y.data.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+    def test_rows_sum_to_one(self):
+        # 1-5 rows of 2-6 seeded logits at three scales, and rows of the ±1e6 extremes
+        r = rng()
+        cases = [r.uniform(-s, s, (m, k)) for s in (1.0, 1e3, 1e6) for m in range(1, 6) for k in range(2, 7)]
+        cases += [np.array([[1e6, -1e6], [-1e6, 1e6], [1e6, 1e6]]), np.array([[-1e6, -1e6, 0.0, 1e6 - 1.0, 1e6]])]
+        for rows in cases:
+            y = T.softmax_rows(Tensor(rows))
+            np.testing.assert_allclose(y.data.sum(axis=1), 1.0, rtol=0, atol=1e-12)
 
 
 class TestConv2d:
@@ -290,25 +286,6 @@ class TestConv2dGrid:
         assert taped.requires_grad and not free.requires_grad
         assert rel_gap(free.data, taped.data) <= 1e-12
 
-    @pytest.mark.parametrize("per_chunk", [1, 2, 3, 5])
-    def test_untracked_chunks_match_tracked(self, monkeypatch, per_chunk):
-        # N = 5 in chunks of 1, 2+2+1, 3+2 and one chunk of all five
-        r = rng()
-        x = Tensor(r.uniform(-2, 2, (5, 2, 5, 7)), requires_grad=True)
-        w = Tensor(r.uniform(-1, 1, (3, 2, 3, 3)), requires_grad=True)
-        b = Tensor(r.uniform(-1, 1, (3,)), requires_grad=True)
-        with Tape():
-            taped = T.conv2d(x, w, b, stride=(2, 1))
-        sample_scratch = 2 * 3 * 3 * 3 * 7  # one sample's columns: C·kh·kw·Ho·Wo
-        monkeypatch.setattr(T, "_COLS_CHUNK", per_chunk * sample_scratch)
-        monkeypatch.setattr(T, "_MIN_GEMM_COLS", sys.maxsize)  # the budget alone sets the chunks
-        chunks = []
-        windows = T._windows
-        monkeypatch.setattr(T, "_windows", lambda xs, *a: chunks.append(xs.shape[1]) or windows(xs, *a))
-        free = T.conv2d(x, w, b, stride=(2, 1))
-        assert len(chunks) == -(-5 // per_chunk)
-        assert rel_gap(free.data, taped.data) <= 1e-12
-
     @staticmethod
     def taped_results(x, w, b, stride):
         """Output, dW, db and dX of one taped conv under a fixed random upstream gradient."""
@@ -323,10 +300,13 @@ class TestConv2dGrid:
 
     @pytest.mark.parametrize("per_chunk", [1, 2, 3, 5])
     @pytest.mark.parametrize(
-        "kernel,stride", [((3, 3), (1, 1)), ((3, 3), (2, 2)), ((1, 1), (2, 2))], ids=["k3s1", "k3s2", "k1s2"]
+        "kernel,stride",
+        [((3, 3), (1, 1)), ((3, 3), (2, 2)), ((3, 3), (2, 1)), ((1, 1), (2, 2))],
+        ids=["k3s1", "k3s2", "k3s21", "k1s2"],
     )
     def test_tracked_chunks_match_one_chunk(self, monkeypatch, kernel, stride, per_chunk):
-        # N = 5 in chunks of 1, 2+2+1, 3+2 and one chunk of all five, forward and backward
+        # N = 5 in chunks of 1, 2+2+1, 3+2 and one chunk of all five: taped forward and
+        # backward, and an untracked forward
         r = rng()
         x = Tensor(r.uniform(-2, 2, (5, 2, 5, 7)), requires_grad=True)
         w = Tensor(r.uniform(-1, 1, (3, 2) + kernel), requires_grad=True)
@@ -337,13 +317,13 @@ class TestConv2dGrid:
         monkeypatch.setattr(T, "_MIN_GEMM_COLS", sys.maxsize)  # the budget alone sets the chunks
         slots, chunks = [], []
         scratch, windows = T._scratch, T._windows
-        monkeypatch.setattr(T, "_scratch", lambda size, slot="cols": slots.append(slot) or scratch(size, slot))
+        monkeypatch.setattr(T, "_scratch", lambda size, slot: slots.append(slot) or scratch(size, slot))
         monkeypatch.setattr(T, "_windows", lambda xs, *a: chunks.append(xs.shape[1]) or windows(xs, *a))
         chunked = self.taped_results(x, w, b, stride)
-        assert len(chunks) == 2 * -(-5 // per_chunk)  # forward and backward
-        assert slots.count("cols") == 2 and slots.count("col2im") == 1  # taken once per pass
-        assert slots.count("pad") == (0 if kernel == (1, 1) else 2)  # a 1×1 kernel pads nothing
-        for got, want in zip(chunked, whole):
+        free = T.conv2d(x, w, b, stride=stride).data
+        assert len(chunks) == 3 * -(-5 // per_chunk)  # taped forward, backward, untracked forward
+        assert slots.count("cols") == 3 and slots.count("col2im") == 1  # taken once per pass
+        for got, want in zip((*chunked, free), (*whole, whole[0])):
             assert rel_gap(got, want) <= 1e-12
 
     def test_chunked_backward_matches_fd(self, monkeypatch):
@@ -414,7 +394,7 @@ class TestConv2dGrid:
         kept = first.data.copy()
         T.conv2d(Tensor(r.uniform(-2, 2, (2, 2, 5, 7))), w)  # same shapes: same scratch
         np.testing.assert_array_equal(first.data, kept)
-        assert not np.shares_memory(first.data, T._scratch(1).base)
+        assert not np.shares_memory(first.data, T._scratch(1, "cols").base)
 
     def test_input_without_grad_gets_none_and_weights_match_fd(self):
         r = rng()
@@ -453,12 +433,6 @@ def on_caller_or_pool(thread_name):
     return thread_name == threading.current_thread().name or thread_name.startswith("textrec-conv")
 
 
-def range_slots(p, pads=True):
-    """The scratch slots a conv of ``p`` ranges takes on the caller, in order: each
-    range's columns, and its padded input unless the conv pads nothing."""
-    return [slot + (str(i) if i else "") for i in range(p) for slot in ("cols", "pad")[: 1 + pads]]
-
-
 def fail_second_range(windows):
     """``_windows`` that raises on the 2-sample chunk: the second range of an N = 5 split, on any thread."""
 
@@ -492,7 +466,7 @@ class TestSplitConv:
             chunks.append((threading.current_thread().name, xs.shape[1]))
             return windows(xs, *a)
 
-        def record_scratch(size, slot="cols"):
+        def record_scratch(size, slot):
             requests.append((threading.current_thread().name, slot, size))
             return scratch(size, slot)
 
@@ -524,11 +498,8 @@ class TestSplitConv:
             assert rel_gap(got, want) <= 1e-12
         else:
             assert np.array_equal(got, want)
-        p = min(n, 2)
         assert all(on_caller_or_pool(thread) for thread, _ in chunks)
         assert {thread for thread, _, _ in requests} == {threading.current_thread().name}
-        assert [slot for _, slot, _ in requests] == range_slots(p, kernel != (1, 1))
-        assert all(size <= max(T._COLS_CHUNK // p, sample) for _, slot, size in requests if slot.startswith("cols"))
         assert sum(samples for _, samples in chunks) == n
         if per_range is not None:
             assert all(samples == 1 for _, samples in chunks)
@@ -538,27 +509,28 @@ class TestSplitConv:
         work = 2 * 3 * 2 * 9 * 5 * 5 * 7  # 2·K·C·kh·kw·N·Ho·Wo
         monkeypatch.setattr(T, "_CORES", 2)
         monkeypatch.setattr(T, "_SPLIT_FLOP", work + 1)
-        chunks, requests = self.traced(monkeypatch)
+        chunks, _ = self.traced(monkeypatch)
         below = T.conv2d_cnhw(*args, **kwargs)
-        assert {thread for thread, _ in chunks} == {threading.current_thread().name}
-        assert [slot for _, slot, _ in requests] == ["cols", "pad"]
+        assert chunks == [(threading.current_thread().name, 5)]
         monkeypatch.setattr(T, "_SPLIT_FLOP", work)
-        del requests[:]
+        del chunks[:]
         at = T.conv2d_cnhw(*args, **kwargs)
-        # two ranges, whichever threads ran them
-        assert [slot for _, slot, _ in requests] == ["cols", "pad", "cols1", "pad1"]
+        # two ranges of one chunk each, whichever threads ran them
+        assert sorted(samples for _, samples in chunks) == [2, 3]
         assert rel_gap(at, below) <= 1e-12
 
-    def test_worker_exception_reaches_caller_and_next_call_succeeds(self, monkeypatch):
-        args, kwargs = split_operands((3, 3), (2, 2), 5, True)
+    @pytest.mark.parametrize("direction", ["forward", "backward"])
+    def test_range_exception_reaches_caller_and_next_call_succeeds(self, monkeypatch, direction):
+        call = split_call(direction, (2, 2))
         monkeypatch.setattr(T, "_SPLIT_FLOP", 0)
         monkeypatch.setattr(T, "_CORES", 2)
-        want = T.conv2d_cnhw(*args, **kwargs)
+        want = call()
         with monkeypatch.context() as m:
             m.setattr(T, "_windows", fail_second_range(T._windows))
             with pytest.raises(FloatingPointError, match="range failed"):
-                T.conv2d_cnhw(*args, **kwargs)
-        assert np.array_equal(T.conv2d_cnhw(*args, **kwargs), want)
+                call()
+        for a, b in zip(call(), want):
+            assert np.array_equal(a, b)
 
     def test_concurrent_callers_stress(self, monkeypatch):
         # more ranges than pool threads and more callers than cores, with frequent thread
@@ -593,15 +565,16 @@ class TestSplitConv:
         assert bad == []
 
     @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="no fork on this platform")
-    def test_forked_child_runs_split_convs(self, monkeypatch):
+    @pytest.mark.parametrize("direction", ["forward", "backward"])
+    def test_forked_child_runs_split_convs(self, monkeypatch, direction):
         # the child inherits the started pool but none of its threads
-        args, kwargs = split_operands((3, 3), (1, 1), 5, True)
+        call = split_call(direction, (1, 1))
         monkeypatch.setattr(T, "_SPLIT_FLOP", 0)
         monkeypatch.setattr(T, "_CORES", 2)
-        want = T.conv2d_cnhw(*args, **kwargs)
+        want = call()
         ctx = multiprocessing.get_context("fork")
         results = ctx.Queue()
-        child = ctx.Process(target=lambda: results.put(T.conv2d_cnhw(*args, **kwargs)))
+        child = ctx.Process(target=lambda: results.put(call()))
         child.start()
         try:
             got = results.get(timeout=30)  # a child waiting on threads it lacks times out here
@@ -609,7 +582,9 @@ class TestSplitConv:
             child.join(timeout=10)
             if child.is_alive():
                 child.kill()
-        assert child.exitcode == 0 and np.array_equal(got, want)
+        assert child.exitcode == 0
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
 
     def test_scratch_is_per_thread(self):
         mine = T._scratch(64, "cols")
@@ -640,6 +615,15 @@ def split_backward(args):
     return dw, dx.copy()
 
 
+def split_call(direction, stride):
+    """One 3×3 conv over N = 5 samples, ``forward`` (with the epilogue) or ``backward``
+    (from an NCHW-view gradient), as a call that returns its results."""
+    if direction == "forward":
+        args, kwargs = split_operands((3, 3), stride, 5, True)
+        return lambda: (T.conv2d_cnhw(*args, **kwargs),)
+    return partial(split_backward, backward_operands((3, 3), stride, 5, True))
+
+
 class TestSplitBackward:
     """``_conv_backward`` over the forward's sample ranges, patched as in ``TestSplitConv``."""
 
@@ -662,7 +646,6 @@ class TestSplitBackward:
         got = split_backward(args)
         for a, b in zip(got, want):
             assert a.shape == b.shape and rel_gap(a, b) <= 1e-12
-        assert [slot for _, slot, _ in requests] == range_slots(min(n, 2), kernel != (1, 1)) + ["col2im"]
         assert {thread for thread, _, _ in requests} == {threading.current_thread().name}
         assert all(on_caller_or_pool(thread) for thread, _ in chunks)
         assert sorted(samples for _, samples in chunks) == sorted([n // 2 + n % 2, n // 2][: min(n, 2)])
@@ -723,75 +706,10 @@ class TestSplitBackward:
         for a, b in zip(got, want):
             assert rel_gap(a, b) <= 1e-12
 
-    def test_range_exception_reaches_caller_and_next_call_succeeds(self, monkeypatch):
-        args = backward_operands((3, 3), (2, 2), 5, True)
-        self.split(monkeypatch)
-        want = split_backward(args)
-        with monkeypatch.context() as m:
-            m.setattr(T, "_windows", fail_second_range(T._windows))
-            with pytest.raises(FloatingPointError, match="range failed"):
-                T._conv_backward(*args)
-        for a, b in zip(split_backward(args), want):
-            assert np.array_equal(a, b)
-
-    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="no fork on this platform")
-    def test_forked_child_runs_split_backward(self, monkeypatch):
-        args = backward_operands((3, 3), (1, 1), 5, False)
-        self.split(monkeypatch)
-        want = split_backward(args)
-        ctx = multiprocessing.get_context("fork")
-        results = ctx.Queue()
-        child = ctx.Process(target=lambda: results.put(split_backward(args)))
-        child.start()
-        try:
-            got = results.get(timeout=30)
-        finally:
-            child.join(timeout=10)
-            if child.is_alive():
-                child.kill()
-        assert child.exitcode == 0
-        for a, b in zip(got, want):
-            assert np.array_equal(a, b)
-
 
 class TestChunkPlan:
-    """The chunks ``_sample_ranges`` plans at the benchmark workloads' shapes, two ranges
-    as on two cores, recorded per ``_windows`` call as ``TestSplitConv.traced`` does."""
-
-    @staticmethod
-    def planned(monkeypatch, c, k, kernel, stride, n, h, w):
-        """Samples per chunk of one forward and one backward, and the slots they took."""
-        monkeypatch.setattr(T, "_CORES", 2)
-        x, wt = np.zeros((c, n, h, w)), np.zeros((k, c, kernel, kernel))
-        chunks, requests = TestSplitConv.traced(monkeypatch)
-        y = T.conv2d_cnhw(x, wt, (stride, stride))
-        forward = [samples for _, samples in chunks]
-        del chunks[:]
-        T._conv_backward(x, wt, (stride, stride), y, True)
-        return forward, [samples for _, samples in chunks], [slot for _, slot, _ in requests]
-
-    def test_toy_stage0_conv_runs_one_sample_chunks(self, monkeypatch):
-        # 2,816 output columns per sample already reach the GEMM-width floor
-        forward, backward, slots = self.planned(monkeypatch, 16, 16, 3, 1, 8, 32, 88)
-        assert forward == backward == [1] * 8
-        assert slots == 2 * range_slots(2) + ["col2im"]
-
-    @pytest.mark.parametrize(
-        "c,k,kernel,stride,h,w",
-        [
-            (128, 256, 3, 2, 16, 44),
-            (256, 256, 3, 1, 8, 22),
-            (128, 256, 1, 2, 16, 44),
-            (256, 512, 3, 2, 8, 22),
-            (512, 512, 3, 1, 4, 11),
-            (256, 512, 1, 2, 8, 22),
-        ],
-        ids=["stage2-conv1", "stage2-conv2", "stage2-proj", "stage3-conv1", "stage3-conv2", "stage3-proj"],
-    )
-    def test_paper_deep_stage_convs_run_one_chunk_per_range(self, monkeypatch, c, k, kernel, stride, h, w):
-        # 4 samples of 176 or 44 output columns stay below the floor: one GEMM per range
-        forward, backward, _ = self.planned(monkeypatch, c, k, kernel, stride, 8, h, w)
-        assert sorted(forward) == sorted(backward) == [4, 4]
+    """``_plan`` on small shapes; ``TestWorkloadPlans`` in test_backbone.py pins the plan
+    of every benchmark workload conv."""
 
     @pytest.mark.parametrize("force", ["floor", "budget"])
     def test_two_chunks_of_five_split_three_two(self, monkeypatch, force):
@@ -803,9 +721,27 @@ class TestChunkPlan:
         else:
             monkeypatch.setattr(T, "_MIN_GEMM_COLS", sys.maxsize)
             monkeypatch.setattr(T, "_COLS_CHUNK", 4 * 2 * 9 * 35)
-        forward, backward, slots = self.planned(monkeypatch, 2, 3, 3, 1, 5, 5, 7)
-        assert forward == backward == [3, 2]
-        assert slots == 2 * range_slots(1) + ["col2im"]
+        plan = T._plan(np.zeros((2, 5, 5, 7)), 3, 3, 1, 1, 3)
+        assert [chunks for chunks, _, _ in plan] == [[(0, 3), (3, 5)]]
+
+    @pytest.mark.parametrize("kernel", [(3, 3), (1, 1)], ids=["k3x3", "k1x1"])
+    def test_split_ranges_fill_one_slot_each(self, monkeypatch, kernel):
+        # N = 5 on two cores, one sample per chunk: ranges of 3 and 2 samples with their
+        # bounds as indices of the whole batch, each filling its own slot of the caller
+        # with one sample's columns and, behind them, its padded input
+        monkeypatch.setattr(T, "_SPLIT_FLOP", 0)
+        monkeypatch.setattr(T, "_CORES", 2)
+        monkeypatch.setattr(T, "_MIN_GEMM_COLS", 35)
+        plan = T._plan(np.zeros((2, 5, 5, 7)), *kernel, 1, 1, 3)
+        assert [chunks for chunks, _, _ in plan] == [[(0, 1), (1, 2), (2, 3)], [(3, 4), (4, 5)]]
+        for (_, buf, pad), slot in zip(plan, ["cols", "cols1"]):
+            whole = T._scratch(1, slot).base
+            assert buf.size == 2 * kernel[0] * kernel[1] * 35 and np.shares_memory(buf, whole)
+            if kernel == (1, 1):
+                assert pad is None  # a 1×1 conv reads its input unpadded
+            else:
+                assert pad.size == 2 * 7 * 9 and np.shares_memory(pad, whole)
+                assert pad.ctypes.data == buf.ctypes.data + buf.nbytes
 
 
 def reference_windows(x, kh, kw, sh, sw, pad):
@@ -818,14 +754,15 @@ def reference_windows(x, kh, kw, sh, sw, pad):
 
 
 class TestPadScratch:
-    """Each chunk is same-padded into its range's ``pad`` slot, which an earlier, larger
-    conv leaves full of its own values: here NaN, so any element the pad does not
-    write would show in every output and gradient."""
+    """Each chunk is same-padded into its range's scratch slot, which an earlier, larger
+    conv leaves full of its own values: here NaN in the whole slot, columns and padded
+    input alike, so any element the chunk does not write would show in every output
+    and gradient."""
 
     @staticmethod
     def stale_pads():
-        for slot in ("pad", "pad1"):
-            T._scratch(1 << 12, slot)[:] = np.nan
+        for slot in ("cols", "cols1"):
+            T._scratch(1 << 12, slot).base[:] = np.nan
 
     @pytest.mark.parametrize("split", [False, True], ids=["serial", "split"])
     @pytest.mark.parametrize("extent", [(5, 7), (6, 8)], ids=["odd", "even"])
@@ -914,6 +851,19 @@ class TestRunRanges:
             with pytest.raises(FloatingPointError, match="range failed"):
                 T._run_ranges([caller_range, pool_range])
             assert finished == [True], failing
+
+
+class TestCheckGradients:
+    @pytest.mark.parametrize("shape", [(1,), (1, 1)])
+    def test_size_one_root_of_any_rank_checks_cleanly(self, shape):
+        # Tape.backward takes any root of size 1, so the finite differences must too
+        x = Tensor(rng().uniform(-1, 1, (3, 4)), requires_grad=True)
+        assert check_gradients(lambda: T.reshape(T.sum_all(T.tanh(x)), shape), [x]) < 1e-6
+
+    def test_root_of_two_elements_raises(self):
+        x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        with pytest.raises(ShapeError):
+            check_gradients(lambda: T.scale(x, 2.0), [x])
 
 
 class TestBackward:
