@@ -25,13 +25,12 @@ from .tensor import (
     conv2d_cnhw,
     parameter,
     relu,
-    reshape,
     sigmoid,
     tracking,
-    transpose,
 )
 
 STAGE_STRIDES = (1, 2, 2, 2)  # with the stride-1 stem this realizes /8 overall
+BN_EPS = 1e-5  # ε of every batch norm's 1/√(σ² + ε)
 
 
 @dataclass(frozen=True)
@@ -95,7 +94,7 @@ class BatchNorm2d(Module):
     def frozen(self) -> tuple[np.ndarray, np.ndarray]:
         """Eval's per-channel ``(inv, shift)``, so that x̂ = y·inv + shift."""
         st = self.state
-        inv = 1.0 / np.sqrt(st.running_var + st.eps)
+        inv = 1.0 / np.sqrt(st.running_var + BN_EPS)
         return inv, -st.running_mean * inv
 
     def normalize(self, y: np.ndarray, training: bool) -> np.ndarray:
@@ -112,7 +111,7 @@ class BatchNorm2d(Module):
         v = np.einsum("ij,ij->i", y2, y2) / y2.shape[1]
         st.running_mean += st.momentum * (m - st.running_mean)
         st.running_var += st.momentum * (v - st.running_var)
-        inv = 1.0 / np.sqrt(v + st.eps)
+        inv = 1.0 / np.sqrt(v + BN_EPS)
         y2 *= inv[:, None]
         return inv
 
@@ -262,7 +261,6 @@ class Backbone(Module):
     """Residual feature extractor producing a 1/8-resolution volume."""
 
     def __init__(self, config: BackboneConfig, rng: np.random.Generator):
-        self.config = config
         self.stem_conv = Conv2d(rng, 1, config.stage_channels[0], (3, 3))
         self.stem_bn = BatchNorm2d(config.stage_channels[0])
         self.stages: list[list[BasicBlock]] = []
@@ -320,5 +318,5 @@ def map_to_sequence(features: Tensor) -> Tensor:
     if features.ndim != 4:
         raise ShapeError(f"map_to_sequence expects (N, D, H, W), got {features.shape}")
     n, d, h, w = features.shape
-    cols = transpose(features, (3, 0, 2, 1))  # (W, N, H, D)
-    return reshape(cols, (w, n, h * d))
+    seq = features.data.transpose(3, 0, 2, 1).reshape(w, n, h * d)
+    return apply_op(seq, (features,), lambda g: (g.reshape(w, n, h, d).transpose(1, 3, 2, 0),))

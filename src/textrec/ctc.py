@@ -147,13 +147,15 @@ def ctc_loss(probs: Tensor, label) -> Tensor:
             f"label of length {len(ids)} needs at least {label_min_frames(ids)} frames, got {t_len}"
         )
 
+    grad = np.zeros_like(probs.data)
+    if t_len == 0:  # the empty label's one path, of no frames, has probability 1
+        return apply_op(np.asarray(0.0), (probs,), lambda g: (grad,))
     ext = _interleave(ids)
     with np.errstate(divide="ignore"):
         emit = np.log(probs.data)[:, ext]  # (T, S)
     alpha = _log_alpha(emit, ext)
     log_p = np.logaddexp.reduce(alpha[-1, -2:] + emit[-1, -2:])
 
-    grad = np.zeros_like(probs.data)
     if np.isfinite(log_p):
         beta = _log_alpha(emit[::-1, ::-1], ext[::-1])[::-1, ::-1]
         np.add.at(grad, (slice(None), ext), -np.exp(alpha + beta - log_p))

@@ -61,11 +61,13 @@ def lstm_scan(seq: Tensor, w_x: Tensor, w_h: Tensor, b: Tensor, reverse: bool) -
     candidate, output) along the 4H axis, with the sigmoid gates clipped into
     (0, 1) exactly as the ``sigmoid`` op clips them.
 
-    Stored for backward: the activated gates (T, N, 4H), the cell states and
-    their tanh (T, N, H each) and the hidden states. The backward pass is
-    hand-written BPTT: one reverse scan yields dZ (T, N, 4H), and then each of
-    dW_x, dW_h and dX is one GEMM and db one sum. dX is skipped when ``seq``
-    does not require a gradient.
+    Stored for backward: the activated gates (T, N, 4H), the tanh of the cell
+    states (T, N, H), and the cell and hidden states, (T + 1, N, H) each with
+    the zero state the scan starts from as their first row (last in
+    ``reverse``), so the output and the states entering each step are views
+    of them. The backward pass is hand-written BPTT: one reverse scan yields
+    dZ (T, N, 4H), and then each of dW_x, dW_h and dX is one GEMM and db one
+    sum. dX is skipped when ``seq`` does not require a gradient.
     """
     t_len, n, f = seq.shape
     h_sz = w_h.shape[0]
@@ -77,31 +79,24 @@ def lstm_scan(seq: Tensor, w_x: Tensor, w_h: Tensor, b: Tensor, reverse: bool) -
     x2 = seq.data.reshape(t_len * n, f)
     zx = (x2 @ w_x.data).reshape(t_len, n, 4 * h_sz)
     gates = np.empty((t_len, n, 4 * h_sz))
-    cell = np.empty((t_len, n, h_sz))
     tcell = np.empty((t_len, n, h_sz))
-    hid = np.empty((t_len, n, h_sz))
+    # step t reads the states in row t + p and writes row t + o
+    o = 0 if reverse else 1
+    p = 1 - o
+    cell = np.zeros((t_len + 1, n, h_sz))
+    hid = np.zeros((t_len + 1, n, h_sz))
     order = range(t_len - 1, -1, -1) if reverse else range(t_len)
-    h = np.zeros((n, h_sz))
-    c = np.zeros((n, h_sz))
     for t in order:
-        z = zx[t] + h @ w_h.data + b.data
+        z = zx[t] + hid[t + p] @ w_h.data + b.data
         a = gates[t]
         a[:] = _sigmoid_raw(z)
         np.tanh(z[:, g_sl], out=a[:, g_sl])
-        c = a[:, h_sz : 2 * h_sz] * c + a[:, :h_sz] * a[:, g_sl]
-        cell[t] = c
-        np.tanh(c, out=tcell[t])
-        np.multiply(a[:, 3 * h_sz :], tcell[t], out=hid[t])
-        h = hid[t]
+        cell[t + o] = a[:, h_sz : 2 * h_sz] * cell[t + p] + a[:, :h_sz] * a[:, g_sl]
+        np.tanh(cell[t + o], out=tcell[t])
+        np.multiply(a[:, 3 * h_sz :], tcell[t], out=hid[t + o])
 
     def pull(g):
-        # states entering each step, by position: zeros where the scan starts
-        h_prev = np.zeros_like(hid)
-        c_prev = np.zeros_like(cell)
-        if reverse:
-            h_prev[:-1], c_prev[:-1] = hid[1:], cell[1:]
-        else:
-            h_prev[1:], c_prev[1:] = hid[:-1], cell[:-1]
+        h_prev, c_prev = hid[p : p + t_len], cell[p : p + t_len]
         i_g, f_g = gates[..., :h_sz], gates[..., h_sz : 2 * h_sz]
         g_g, o_g = gates[..., g_sl], gates[..., 3 * h_sz :]
         # everything but dc and dh, for all steps at once: blockwise over
@@ -131,7 +126,7 @@ def lstm_scan(seq: Tensor, w_x: Tensor, w_h: Tensor, b: Tensor, reverse: bool) -
         dx = (dz2 @ w_x.data.T).reshape(seq.shape) if seq.requires_grad else None
         return dx, dw_x, dw_h, db
 
-    return apply_op(hid, (seq, w_x, w_h, b), pull)
+    return apply_op(hid[o : o + t_len], (seq, w_x, w_h, b), pull)
 
 
 class LstmDirection(Module):

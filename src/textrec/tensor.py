@@ -261,7 +261,7 @@ def softmax_rows(x: Tensor) -> Tensor:
 
 def sum_all(x: Tensor) -> Tensor:
     shape = x.data.shape
-    return apply_op(np.asarray(x.data.sum()), (x,), lambda g: (np.broadcast_to(g, shape).copy(),))
+    return apply_op(np.asarray(x.data.sum()), (x,), lambda g: (np.broadcast_to(g, shape),))
 
 
 # ---------------------------------------------------------------------------
@@ -271,12 +271,6 @@ def sum_all(x: Tensor) -> Tensor:
 def reshape(x: Tensor, shape) -> Tensor:
     old = x.data.shape
     return apply_op(x.data.reshape(shape), (x,), lambda g: (g.reshape(old),))
-
-
-def transpose(x: Tensor, axes) -> Tensor:
-    axes = tuple(axes)
-    inv = tuple(np.argsort(axes))
-    return apply_op(np.transpose(x.data, axes), (x,), lambda g: (np.transpose(g, inv),))
 
 
 def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
@@ -293,11 +287,11 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
 
 
 def getitem(x: Tensor, idx) -> Tensor:
-    """Basic slicing (slices/ints only); gradients scatter back into place."""
+    """Basic slicing (slices and ints, NumPy's included); gradients scatter back into place."""
     if not isinstance(idx, tuple):
         idx = (idx,)
     for i in idx:
-        if not isinstance(i, (slice, int)):
+        if not isinstance(i, (slice, int, np.integer)):
             raise ShapeError("getitem supports basic slicing only (ints and slices)")
     shape = x.data.shape
 
@@ -487,7 +481,8 @@ def _run_ranges(tasks: Sequence[Callable[[], None]]) -> None:
     exception the caller caught, or else the first a started future holds, is
     raised on the caller.
     """
-    jobs = [_POOL.submit(task) for task in tasks[1:]]
+    pending = list(tasks)
+    jobs = [_POOL.submit(lambda i=i: pending[i]()) for i in range(1, len(pending))]
     errors = []
     for task, job in zip(tasks, [None, *jobs]):
         if job is None or job.cancel():
@@ -497,6 +492,9 @@ def _run_ranges(tasks: Sequence[Callable[[], None]]) -> None:
                 errors.append(exc)
     # the next call reuses the ranges' buffers, so wait for the jobs a pool thread started
     errors += [exc for job in jobs if not job.cancelled() and (exc := job.exception())]
+    # a cancelled job stays queued until a pool thread wakes to drop it: it must not keep
+    # its task, and the arrays the task holds, alive until then
+    pending.clear()
     if errors:
         raise errors[0]
 
@@ -540,10 +538,11 @@ def _conv_backward(
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """dW, and dX if ``need_dx``, of ``conv2d_cnhw(x, w, stride)`` for its output gradient ``g``.
 
-    ``x`` and ``g`` are channel-major, (C, N, H, W) and (K, N, Ho, Wo). A split
-    call sums its ranges' dWs in range order, so the result does not depend on
-    which thread ran which range. dX is a (C, N, H, W) view of the ``col2im``
-    slot.
+    ``x`` and ``g`` are channel-major, (C, N, H, W) and (K, N, Ho, Wo). Each
+    range's dW, and the product buffer of a range of several chunks, is taken
+    on the caller; a split call sums the ranges' dWs in place into the first,
+    in range order, so the result does not depend on which thread ran which
+    range. dX is a (C, N, H, W) view of the ``col2im`` slot.
     """
     c, n, h, wd = x.shape
     k, _, kh, kw = w.shape
@@ -552,18 +551,24 @@ def _conv_backward(
     wo, pl, pr = _same_pad(wd, kw, sw)
     wmat = w.reshape(k, -1)
     plan = _plan(x, kh, kw, sh, sw, k)
-    dws = np.zeros((len(plan),) + wmat.shape)
-    prods = np.empty_like(dws)
+    # range 0's dW, which the call returns, is taken after the other ranges': taken first, it
+    # raised a train_toy run's peak RSS by about 4 MiB through where the heap placed it
+    parts = [np.empty(wmat.shape) for _ in plan[1:]]
+    dw = np.empty(wmat.shape)
+    prods = [np.empty(wmat.shape) if len(chunks) > 1 else None for chunks, _, _ in plan]
     if need_dx:
         hp, wp = h + pt + pb, wd + pl + pr
         dxp = _scratch(c * n * hp * wp, "col2im").reshape(c, n, hp, wp)
 
-    def run(chunks, buf: np.ndarray, pad: np.ndarray | None, dw: np.ndarray, prod: np.ndarray) -> None:
+    def run(chunks, buf: np.ndarray, pad: np.ndarray | None, dw: np.ndarray, prod: np.ndarray | None) -> None:
         for s, e in chunks:
             g2 = g[:, s:e].reshape(k, -1)
             cols = _im2col(x[:, s:e], kh, kw, sh, sw, buf, pad)
             cmat = cols.reshape(wmat.shape[1], -1)
-            dw += np.matmul(g2, cmat.T, out=prod)
+            if s == chunks[0][0]:
+                np.matmul(g2, cmat.T, out=dw)
+            else:
+                dw += np.matmul(g2, cmat.T, out=prod)
             if need_dx:
                 np.matmul(wmat.T, g2, out=cmat)  # the chunk's column gradient
                 dxp[:, s:e] = 0.0
@@ -571,9 +576,10 @@ def _conv_backward(
                     for j in range(kw):
                         dxp[:, s:e, i : i + sh * ho : sh, j : j + sw * wo : sw] += cols[:, i, j]
 
-    _run_ranges([partial(run, *r, dw, prod) for r, dw, prod in zip(plan, dws, prods)])
+    _run_ranges([partial(run, *r, acc, prod) for r, acc, prod in zip(plan, [dw, *parts], prods)])
     dx = dxp[:, :, pt : pt + h, pl : pl + wd] if need_dx else None
-    dw = dws[0] if len(plan) == 1 else dws.sum(axis=0)
+    for part in parts:
+        dw += part
     return dw.reshape(w.shape), dx
 
 
@@ -642,7 +648,6 @@ class BatchNormState:
         self.running_mean = np.zeros(channels)
         self.running_var = np.ones(channels)
         self.momentum = 0.1
-        self.eps = 1e-5
 
 
 class Module:

@@ -682,6 +682,15 @@ class TestMapToSequence:
         back = sequence_to_columns(seq, height=4, depth=6)
         np.testing.assert_array_equal(back, vol[0])
 
+    def test_one_record_whose_gradient_matches_fd(self):
+        rng = np.random.default_rng(5)
+        x = Tensor(rng.uniform(-1, 1, (2, 3, 4, 5)), requires_grad=True)
+        weight = Tensor(rng.uniform(-1, 1, (5, 2, 12)))
+        with Tape() as tape:
+            map_to_sequence(x)
+        assert len(tape) == 1
+        assert check_gradients(lambda: sum_all(mul(map_to_sequence(x), weight)), [x]) < 1e-6
+
     def test_height_major_then_channel_order(self):
         # vector[w][h*D + c] == volume[c, h, w]
         vol = np.arange(2 * 3 * 4, dtype=float).reshape(1, 2, 3, 4)
@@ -690,3 +699,16 @@ class TestMapToSequence:
             for h in range(3):
                 for c in range(2):
                     assert seq[w, 0, h * 2 + c] == vol[0, c, h, w]
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: make_backbone()[1].forward(Tensor(np.zeros((1, 32, 32))), training=False),
+        lambda: map_to_sequence(Tensor(np.zeros((1, 4, 4)))),
+    ],
+    ids=["backbone-rank", "map_to_sequence-rank"],
+)
+def test_rejects(call):
+    with pytest.raises(ShapeError):
+        call()

@@ -15,9 +15,9 @@ from textrec.ctc import (
     is_feasible,
     label_min_frames,
 )
-from textrec.errors import DataError, InfeasibleLabelError
+from textrec.errors import DataError, InfeasibleLabelError, ShapeError
 from textrec.gradcheck import check_gradients
-from textrec.selfcheck import random_row_stochastic
+from textrec.selfcheck import brute_force_ctc_loss, random_row_stochastic
 from textrec.tensor import Tape, Tensor, softmax_rows
 
 
@@ -113,6 +113,14 @@ def _loss_and_gradient(probs: np.ndarray, label) -> tuple[float, np.ndarray]:
 
 
 class TestLossGradient:
+    @pytest.mark.parametrize("t_len,label", [(0, []), (1, []), (1, [2]), (3, [1, 1]), (4, [2, 1])])
+    def test_loss_matches_the_brute_force_oracle(self, t_len, label):
+        # zero frames: the empty label's one path is empty, of probability 1, so the loss is 0
+        probs = random_row_stochastic(np.random.default_rng(t_len), t_len, 3)
+        loss, grad = _loss_and_gradient(probs, label)
+        assert loss == pytest.approx(brute_force_ctc_loss(probs, label), abs=1e-12)
+        assert grad.shape == probs.shape and np.all(np.isfinite(grad))
+
     def test_gradient_wrt_probs_matches_fd(self):
         rng = np.random.default_rng(6)
         # the second label has adjacent repeats, where the lattice may not skip the blank
@@ -242,3 +250,20 @@ class TestFeasibilityHelpers:
             for label in map(list, itertools.product(range(1, 5), repeat=size)):
                 for t_len in range(13):
                     assert is_feasible(label, t_len) == (t_len >= label_min_frames(label))
+
+
+@pytest.mark.parametrize(
+    "call,error",
+    [
+        (lambda: Alphabet(""), DataError),
+        (lambda: Alphabet("ab").decode([3]), DataError),
+        (lambda: ctc_loss(Tensor(np.full((2, 3), 1 / 3)), [1, BLANK]), DataError),
+        (lambda: ctc_loss(Tensor(np.full((2, 3), 1 / 3)), [3]), DataError),
+        (lambda: ctc_loss(Tensor(np.full(3, 1 / 3)), []), ShapeError),
+        (lambda: greedy_decode(np.full(3, 1 / 3)), ShapeError),
+    ],
+    ids=["empty-alphabet", "decode-range", "label-blank", "label-range", "loss-rank", "decode-rank"],
+)
+def test_rejects(call, error):
+    with pytest.raises(error):
+        call()

@@ -72,3 +72,17 @@ class TestRejection:
     def test_label_outside_charset_rejected(self):
         with pytest.raises(DataError):
             render("az", GenConfig(), 0)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: GenConfig(min_len=0, max_len=3),
+            lambda: GenConfig(min_len=4, max_len=3),
+            lambda: make_split(GenConfig(), n_train=0, n_test=1, seed=0),
+            lambda: make_split(GenConfig(), n_train=1, n_test=0, seed=0),
+        ],
+        ids=["min-len", "max-below-min", "no-train", "no-test"],
+    )
+    def test_rejects(self, call):
+        with pytest.raises(DataError):
+            call()

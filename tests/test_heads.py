@@ -270,3 +270,16 @@ class TestBatchedEquivalence:
         for i in range(3):
             single = branch.forward(Tensor(batch.data[:, i : i + 1, :])).data
             np.testing.assert_allclose(joint[:, i : i + 1, :], single, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "call,error",
+    [
+        (lambda: BlstmConfig(hidden_size=0), ValueError),
+        (lambda: SupervisionBranch(4, 3, np.random.default_rng(0)).forward(Tensor(np.zeros((2, 4)))), ShapeError),
+    ],
+    ids=["hidden-size", "sequence-rank"],
+)
+def test_rejects(call, error):
+    with pytest.raises(error):
+        call()

@@ -34,3 +34,8 @@ def test_every_selfcheck_passes():
     # every check draws from its own generator, so one run alone reads as it does in the suite
     alone = selfcheck._ctc_conservation_check()
     assert alone.max_error == {r.name: r.max_error for r in results}[alone.name]
+
+
+def test_a_result_line_reads_its_status_error_and_tolerance():
+    assert selfcheck.CheckResult("grad/x", 2e-7, 1e-6).line() == "PASS  grad/x  max_err=2.000e-07  tol=1e-06"
+    assert selfcheck.CheckResult("grad/x", 3e-6, 1e-6).line() == "FAIL  grad/x  max_err=3.000e-06  tol=1e-06"

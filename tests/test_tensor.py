@@ -707,6 +707,28 @@ class TestSplitBackward:
             assert rel_gap(a, b) <= 1e-12
 
 
+class TestSplitBackwardMemory:
+    def test_one_chunk_per_range_writes_dw_in_place(self, monkeypatch):
+        # two ranges of one chunk each: each GEMM writes its range's dW and the second sums
+        # into the first, so the call takes 2× its dW; zero-filled accumulators, product
+        # buffers and a summed copy would take 5×
+        r = rng()
+        x, w, g = r.uniform(-1, 1, (128, 2, 4, 4)), r.uniform(-1, 1, (128, 128, 3, 3)), r.uniform(-1, 1, (128, 2, 4, 4))
+        monkeypatch.setattr(T, "_SPLIT_FLOP", 0)
+        monkeypatch.setattr(T, "_CORES", 2)
+        assert [len(chunks) for chunks, _, _ in T._plan(x, 3, 3, 1, 1, 128)] == [1, 1]
+        want = split_backward((x, w, (1, 1), g, True))  # also grows the scratch slots
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            dw, dx = T._conv_backward(x, w, (1, 1), g, True)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.1 * dw.nbytes, peak / dw.nbytes
+        assert np.array_equal(dw, want[0]) and np.array_equal(dx, want[1])
+
+
 class TestChunkPlan:
     """``_plan`` on small shapes; ``TestWorkloadPlans`` in test_backbone.py pins the plan
     of every benchmark workload conv."""
@@ -828,6 +850,26 @@ class TestRunRanges:
         assert len(ran) == 2 and ran[0] == threading.current_thread().name
         assert ran[1].startswith("textrec-conv")
 
+    def test_a_claimed_task_is_released_while_its_job_stays_queued(self, monkeypatch):
+        # the only pool thread is busy, so the caller claims the second task and its cancelled
+        # job waits in the queue; the job must not keep the task, and what it holds, alive
+        class Task:
+            def __call__(self):
+                pass
+
+        pool, release = ThreadPoolExecutor(1, thread_name_prefix="textrec-conv"), threading.Event()
+        monkeypatch.setattr(T, "_POOL", pool)
+        pool.submit(release.wait, 30)
+        task = Task()
+        released = weakref.ref(task)
+        try:
+            T._run_ranges([Task(), task])
+            del task
+            assert released() is None
+        finally:
+            release.set()
+            pool.shutdown(wait=True)
+
     def test_exception_arrives_after_every_started_range_stops(self):
         # one range fails while the other, started on its own thread, still runs;
         # the call returns only when both have stopped
@@ -929,6 +971,14 @@ class TestBackward:
         tape.backward(root)
         assert freed == [True]
         np.testing.assert_array_equal(x.grad, np.full(3, 6.0))
+
+    def test_a_record_whose_output_gets_no_gradient_is_not_pulled(self):
+        x = Tensor(np.array([0.5, -1.0]), requires_grad=True)
+        with Tape() as tape:
+            T.apply_op(x.data, (x,), lambda g: pytest.fail("pulled a record whose output got no gradient"))
+            root = T.sum_all(T.scale(x, 2.0))
+        tape.backward(root)
+        np.testing.assert_array_equal(x.grad, [2.0, 2.0])
 
     def test_backward_through_a_chain_releases_each_gradient(self):
         # each intermediate grad is released once pulled, so about 2 MiB are alive at once:
@@ -1046,14 +1096,72 @@ class TestShapeOps:
         expected[1:3, 0:2] = 1.0
         np.testing.assert_array_equal(x.grad, expected)
 
-    def test_transpose_reshape_gradients(self):
-        r = rng()
-        x = Tensor(r.uniform(-1, 1, (2, 3, 4)), requires_grad=True)
-        w = Tensor(r.uniform(-1, 1, (4, 6)))
-        err = check_gradients(
-            lambda: T.sum_all(T.mul(T.reshape(T.transpose(x, (2, 0, 1)), (4, 6)), w)), [x]
-        )
-        assert err < 1e-6
+    @pytest.mark.parametrize(
+        "idx", [np.int64(1), (np.intp(2), slice(0, 3)), (slice(None), np.int32(-1))], ids=["int64", "intp", "int32"]
+    )
+    def test_getitem_takes_numpy_integers(self, idx):
+        # indices drawn from np.arange or np.argmax are NumPy integers, which NumPy indexes as ints
+        x = Tensor(np.arange(12, dtype=float).reshape(3, 4), requires_grad=True)
+        with Tape() as tape:
+            y = T.getitem(x, idx)
+            root = T.sum_all(y)
+        tape.backward(root)
+        np.testing.assert_array_equal(y.data, x.data[idx])
+        expected = np.zeros((3, 4))
+        expected[idx] = 1.0
+        np.testing.assert_array_equal(x.grad, expected)
+
+    def test_sum_all_gradient_is_owned_and_accumulates(self):
+        # sum_all's pull hands back a read-only broadcast view, which the leaf copies once
+        x = Tensor(np.ones((2, 3)), requires_grad=True)
+        with Tape() as tape:
+            root = T.add(T.sum_all(x), T.sum_all(T.scale(x, 2.0)))
+        tape.backward(root)
+        assert x.grad.flags["OWNDATA"] and x.grad.flags["WRITEABLE"]
+        np.testing.assert_array_equal(x.grad, np.full((2, 3), 3.0))
+
+
+def _zeros(*shape):
+    return Tensor(np.zeros(shape))
+
+
+class TestRejection:
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: _zeros(3).accumulate_grad(np.zeros(4)),
+            lambda: T.add_bias(_zeros(2, 3), _zeros(4)),
+            lambda: T.softmax_rows(_zeros(3)),
+            lambda: T.concat([], axis=0),
+            lambda: T.getitem(_zeros(3), np.array([0, 1])),
+            lambda: T.getitem(_zeros(3), None),
+            lambda: T.getitem(_zeros(3), Ellipsis),
+            lambda: T.getitem(_zeros(3), 1.0),
+            lambda: T.matmul(_zeros(2, 3), _zeros(2, 3)),
+            lambda: T.conv2d(_zeros(1, 4, 4), _zeros(2, 1, 3, 3)),
+            lambda: T.conv2d(_zeros(1, 1, 4, 4), _zeros(2, 1, 3, 3), stride=(0, 1)),
+            lambda: T.conv2d(_zeros(1, 1, 4, 4), _zeros(2, 1, 3, 3), _zeros(3)),
+            lambda: T.scale_channels(_zeros(1, 4, 4), _zeros(1, 4, 4)),
+        ],
+        ids=[
+            "accumulate_grad-shape",
+            "add_bias-size",
+            "softmax_rows-rank",
+            "concat-empty",
+            "getitem-array",
+            "getitem-None",
+            "getitem-Ellipsis",
+            "getitem-float",
+            "matmul-shapes",
+            "conv2d-rank",
+            "conv2d-stride",
+            "conv2d-bias",
+            "scale_channels-rank",
+        ],
+    )
+    def test_rejects(self, call):
+        with pytest.raises(ShapeError):
+            call()
 
 
 class TestScaleChannels:
