@@ -82,8 +82,7 @@ class BatchNorm2d(Module):
     arrays: the stem runs them through ``forward``, ``BasicBlock`` directly.
     Training normalizes by the batch statistics over (N, H, W) and moves the
     running estimates toward them. Eval applies the running statistics as
-    x̂ = y·inv + shift (``frozen``), the arithmetic of the ``conv2d_cnhw``
-    epilogue through which the block applies them, so every eval x̂ agrees.
+    x̂ = y·inv − μ·inv, the same arithmetic for the stem and every block.
     """
 
     def __init__(self, channels: int):
@@ -91,21 +90,15 @@ class BatchNorm2d(Module):
         self.beta = parameter(np.zeros(channels))
         self.state = BatchNormState(channels)
 
-    def frozen(self) -> tuple[np.ndarray, np.ndarray]:
-        """Eval's per-channel ``(inv, shift)``, so that x̂ = y·inv + shift."""
-        st = self.state
-        inv = 1.0 / np.sqrt(st.running_var + BN_EPS)
-        return inv, -st.running_mean * inv
-
     def normalize(self, y: np.ndarray, training: bool) -> np.ndarray:
         """Overwrite ``y`` with x̂ and return inv = 1/√(σ² + ε) per channel."""
         y2 = y.reshape(y.shape[0], -1)
-        if not training:
-            inv, shift = self.frozen()
-            y2 *= inv[:, None]
-            y2 += shift[:, None]
-            return inv
         st = self.state
+        if not training:
+            inv = 1.0 / np.sqrt(st.running_var + BN_EPS)
+            y2 *= inv[:, None]
+            y2 += (-st.running_mean * inv)[:, None]
+            return inv
         m = y2.mean(axis=1)
         y2 -= m[:, None]
         v = np.einsum("ij,ij->i", y2, y2) / y2.shape[1]
@@ -179,10 +172,10 @@ class BasicBlock(Module):
     def forward(self, x: Tensor, training: bool) -> Tensor:
         """The block as one op over the channel-major view of ``x``, in every mode.
 
-        Each conv is ``conv2d_cnhw``; ``BatchNorm2d`` makes its output x̂ in
-        place, in eval through the conv's epilogue. γ, β, the shortcut add and
-        the ReLUs then run in place on the inner activation and the output, so
-        traced and untraced eval run the same arithmetic and agree bitwise.
+        Each conv is ``conv2d_cnhw``, and ``BatchNorm2d.normalize`` makes its
+        output x̂ in place. γ, β, the shortcut add and the ReLUs then run in
+        place on the inner activation and the output, so traced and untraced
+        eval run the same arithmetic and agree bitwise.
 
         A recorded op keeps each BN's x̂ and the block output, 3× the output
         (4× with a projection); the input is alive anyway (the memory argument
@@ -208,11 +201,8 @@ class BasicBlock(Module):
         keep = tracking(inputs)
 
         def conv_norm(src: np.ndarray, conv: Conv2d, bn: BatchNorm2d) -> tuple[np.ndarray, np.ndarray]:
-            if training:
-                xhat = conv2d_cnhw(src, conv.weight.data, conv.stride)
-                return xhat, bn.normalize(xhat, True)
-            inv, shift = bn.frozen()
-            return conv2d_cnhw(src, conv.weight.data, conv.stride, inv, shift), inv
+            xhat = conv2d_cnhw(src, conv.weight.data, conv.stride)
+            return xhat, bn.normalize(xhat, training)
 
         xhat1, inv1 = conv_norm(xc, self.conv1, self.bn1)
 

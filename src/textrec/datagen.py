@@ -89,6 +89,8 @@ class GenConfig:
     max_len: int = 5
 
     def __post_init__(self):
+        if not self.charset:
+            raise DataError("charset must contain at least one character")
         unknown = [ch for ch in self.charset if ch not in _FONT_ROWS]
         if unknown:
             raise DataError(f"unsupported characters in charset: {unknown}")

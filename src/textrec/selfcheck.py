@@ -21,10 +21,9 @@ from .tensor import (
     Tape,
     Tensor,
     add,
-    add_bias,
     conv2d,
     getitem,
-    matmul,
+    linear,
     mul,
     relu,
     scale_channels,
@@ -115,12 +114,12 @@ def _op_gradient_checks() -> list[CheckResult]:
         y = Tensor(rng.uniform(-2, 2, (4, 5)), requires_grad=True)
         check(name, lambda: sum_all(mul(op(x), y)), [x, y], rng)
 
-    rng = _rng("grad/matmul+bias")
+    rng = _rng("grad/linear")
     a = Tensor(rng.uniform(-2, 2, (3, 4)), requires_grad=True)
     b = Tensor(rng.uniform(-2, 2, (4, 6)), requires_grad=True)
     c = Tensor(rng.uniform(-2, 2, (6,)), requires_grad=True)
     w2 = Tensor(rng.uniform(-2, 2, (3, 6)), requires_grad=True)
-    check("matmul+bias", lambda: sum_all(mul(add_bias(matmul(a, b), c), w2)), [a, b, c], rng)
+    check("linear", lambda: sum_all(mul(linear(a, b, c), w2)), [a, b, c], rng)
 
     for name, stride, op in (("conv2d", (1, 1), same), ("conv2d_strided", (2, 2), sigmoid)):
         rng = _rng(f"grad/{name}")
@@ -180,11 +179,12 @@ def _determinism_check() -> CheckResult:
     rng = _rng("tape/backward_determinism")
     x = Tensor(rng.uniform(-2, 2, (3, 3)), requires_grad=True)
     w = Tensor(rng.uniform(-2, 2, (3, 3)), requires_grad=True)
+    bias = Tensor(np.zeros(3))
     grads = []
     for _ in range(2):  # two fresh tapes over the same inputs
         x.grad = w.grad = None
         with Tape() as tape:
-            root = sum_all(sigmoid(matmul(x, w)))
+            root = sum_all(sigmoid(linear(x, w, bias)))
         tape.backward(root)
         grads.append((x.grad, w.grad))
     same = all(np.array_equal(a, b) for a, b in zip(*grads))
@@ -254,8 +254,8 @@ def _pipeline_checks() -> list[CheckResult]:
 
     # the untracked eval forward against the taped one, at the toy size with
     # one strip's running statistics and random affine parameters: both run
-    # the frozen BN in the conv epilogue, so they agree bitwise and this reads
-    # 0; one narrow strip keeps the benchmark's memory baseline
+    # BatchNorm2d.normalize's running statistics, so they agree bitwise and
+    # this reads 0; one narrow strip keeps the benchmark's memory baseline
     rng = _rng("eval/bn_fold")
     toy = Backbone(BackboneConfig(), rng)
     for st in toy.norm_states().values():

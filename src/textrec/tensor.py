@@ -10,7 +10,7 @@ so a tape drives one backward.
 
 Broadcasting is deliberately restricted: elementwise ops require exact shape
 matches. The only broadcast products offered are the bias adds built into
-``add_bias``/``conv2d`` and the single-channel mask product ``scale_channels``.
+``linear``/``conv2d`` and the single-channel mask product ``scale_channels``.
 """
 
 from __future__ import annotations
@@ -156,7 +156,7 @@ def _pull(out: Tensor, inputs: tuple[Tensor, ...], pull: Callable) -> None:
     out.grad = None
     for t, g in zip(inputs, grads):
         if t.requires_grad and g is not None:
-            t.accumulate_grad(np.asarray(g, dtype=np.float64))
+            t.accumulate_grad(g)
 
 
 def tracking(inputs: Sequence[Tensor]) -> bool:
@@ -195,18 +195,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 def scale(a: Tensor, c: float) -> Tensor:
     c = float(c)
     return apply_op(a.data * c, (a,), lambda g: (g * c,))
-
-
-def add_bias(x: Tensor, b: Tensor) -> Tensor:
-    """Add a length-F bias vector to the last axis of ``x``."""
-    if b.ndim != 1 or x.shape[-1] != b.shape[0]:
-        raise ShapeError(f"add_bias: bias {b.shape} does not fit input {x.shape}")
-    f = b.shape[0]
-
-    def pull(g):
-        return g, g.reshape(-1, f).sum(axis=0)
-
-    return apply_op(x.data + b.data, (x, b), pull)
 
 
 def relu(x: Tensor) -> Tensor:
@@ -307,19 +295,15 @@ def getitem(x: Tensor, idx) -> Tensor:
 # linear algebra
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul: incompatible shapes {a.shape} @ {b.shape}")
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """The dense layer ``x @ w + b`` of (M, F) rows, (F, K) weights and a length-K bias, as one op."""
+    if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0] or b.shape != (w.shape[1],):
+        raise ShapeError(f"linear: shapes {x.shape} @ {w.shape} + {b.shape} do not fit")
 
     def pull(g):
-        return g @ b.data.T, a.data.T @ g
+        return g @ w.data.T, x.data.T @ g, g.sum(axis=0)
 
-    return apply_op(a.data @ b.data, (a, b), pull)
-
-
-def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
-    y = matmul(x, w)
-    return add_bias(y, b) if b is not None else y
+    return apply_op(x.data @ w.data + b.data, (x, w, b), pull)
 
 
 # ---------------------------------------------------------------------------
@@ -499,19 +483,11 @@ def _run_ranges(tasks: Sequence[Callable[[], None]]) -> None:
         raise errors[0]
 
 
-def conv2d_cnhw(
-    x: np.ndarray,
-    w: np.ndarray,
-    stride: tuple[int, int] = (1, 1),
-    scale: np.ndarray | None = None,
-    shift: np.ndarray | None = None,
-) -> np.ndarray:
+def conv2d_cnhw(x: np.ndarray, w: np.ndarray, stride: tuple[int, int] = (1, 1)) -> np.ndarray:
     """Same-padded conv of a channel-major (C, N, H, W) array, with no tape.
 
-    Returns a fresh (K, N, Ho, Wo) array: the conv output times ``scale`` plus
-    ``shift`` (per output channel), each step skipped when not given. An
-    exception raised in any range reaches the caller once every range has
-    stopped.
+    Returns a fresh (K, N, Ho, Wo) array. An exception raised in any range
+    reaches the caller once every range has stopped.
     """
     k, _, kh, kw = w.shape
     sh, sw = stride
@@ -524,10 +500,6 @@ def conv2d_cnhw(
         for s, e in chunks:
             y = flat[:, s * ho * wo : e * ho * wo]
             np.matmul(wmat, _im2col(x[:, s:e], kh, kw, sh, sw, buf, pad).reshape(wmat.shape[1], -1), out=y)
-            if scale is not None:
-                y *= scale[:, None]
-            if shift is not None:
-                y += shift[:, None]
 
     _run_ranges([partial(run, *r) for r in _plan(x, kh, kw, sh, sw, k)])
     return out
@@ -595,7 +567,7 @@ def conv2d(
     the output spatial size is ceil(extent / stride). A tape keeps only the
     input and the weights, and the pull rebuilds the columns (recompute-for-
     memory, Chen et al., arXiv:1604.06174), so a taped input must not be
-    mutated before backward, as ``mul`` and ``matmul`` also assume.
+    mutated before backward, as ``mul`` and ``linear`` also assume.
     """
     if x.ndim != 4 or w.ndim != 4:
         raise ShapeError(f"conv2d expects 4-D input and kernel, got {x.shape}, {w.shape}")
@@ -610,7 +582,9 @@ def conv2d(
         raise ShapeError(f"conv2d: bias shape {b.shape} != ({k},)")
 
     xc = x.data.transpose(1, 0, 2, 3)
-    out = conv2d_cnhw(xc, w.data, stride, shift=None if b is None else b.data).transpose(1, 0, 2, 3)
+    out = conv2d_cnhw(xc, w.data, stride)
+    if b is not None:
+        out += b.data[:, None, None, None]
     inputs = (x, w) if b is None else (x, w, b)
 
     def pull(g):
@@ -620,7 +594,7 @@ def conv2d(
             return dx, dw, g.sum(axis=(0, 2, 3))
         return dx, dw
 
-    return apply_op(out, inputs, pull)
+    return apply_op(out.transpose(1, 0, 2, 3), inputs, pull)
 
 
 def scale_channels(x: Tensor, m: Tensor) -> Tensor:

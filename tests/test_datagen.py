@@ -60,7 +60,7 @@ class TestWidth:
 
 
 class TestRejection:
-    @pytest.mark.parametrize("charset", ["ab!", "aab", "ABC"])
+    @pytest.mark.parametrize("charset", ["ab!", "aab", "ABC", pytest.param("", id="empty")])
     def test_bad_charset_rejected(self, charset):
         with pytest.raises(DataError):
             GenConfig(charset=charset)

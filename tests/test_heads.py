@@ -9,9 +9,9 @@ from textrec.tensor import (
     Tape,
     Tensor,
     add,
-    add_bias,
+    concat,
     getitem,
-    matmul,
+    linear,
     mul,
     sigmoid,
     sum_all,
@@ -34,7 +34,7 @@ def reference_lstm(seq, w_x, w_h, b, reverse):
     outputs = [None] * t_len
     for t in order:
         x_t = getitem(seq, t)  # (N, F)
-        z = add_bias(add(matmul(x_t, w_x), matmul(h, w_h)), b)
+        z = linear(concat([x_t, h], 1), concat([w_x, w_h], 0), b)
         gi = sigmoid(getitem(z, (slice(None), slice(0, h_sz))))
         gf = sigmoid(getitem(z, (slice(None), slice(h_sz, 2 * h_sz))))
         gg = tanh(getitem(z, (slice(None), slice(2 * h_sz, 3 * h_sz))))

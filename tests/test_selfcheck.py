@@ -6,7 +6,7 @@ CHECKS = [
     "grad/tanh",
     "grad/relu",
     "grad/softmax_rows",
-    "grad/matmul+bias",
+    "grad/linear",
     "grad/conv2d",
     "grad/conv2d_strided",
     "grad/scale_channels",

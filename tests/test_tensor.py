@@ -146,6 +146,24 @@ class TestSoftmax:
             np.testing.assert_allclose(y.data.sum(axis=1), 1.0, rtol=0, atol=1e-12)
 
 
+class TestLinear:
+    def test_one_record_with_the_numpy_results(self):
+        r = rng()
+        x = Tensor(r.uniform(-1, 1, (5, 4)), requires_grad=True)
+        w = Tensor(r.uniform(-1, 1, (4, 3)), requires_grad=True)
+        b = Tensor(r.uniform(-1, 1, (3,)), requires_grad=True)
+        g = r.uniform(-1, 1, (5, 3))
+        with Tape() as tape:
+            y = T.linear(x, w, b)
+            assert len(tape) == 1
+            root = T.sum_all(T.mul(y, Tensor(g)))  # hands y the gradient g exactly
+        tape.backward(root)
+        np.testing.assert_array_equal(y.data, x.data @ w.data + b.data)
+        np.testing.assert_array_equal(x.grad, g @ w.data.T)
+        np.testing.assert_array_equal(w.grad, x.data.T @ g)
+        np.testing.assert_array_equal(b.grad, g.sum(0))
+
+
 class TestConv2d:
     def test_identity_scaling_kernel(self):
         x = Tensor(np.ones((1, 1, 3, 3)))
@@ -419,14 +437,16 @@ class TestConv2dGrid:
         np.testing.assert_array_equal(w.grad, dw)
 
 
-def split_operands(kernel, stride, n, epilogue):
-    """Channel-major conv2d_cnhw arguments; with ``epilogue``, scale and shift too."""
+def split_operands(kernel, stride, n, view):
+    """Channel-major conv2d_cnhw arguments; with ``view``, x is the channel-major view
+    of an NCHW batch, the layout the taped conv2d passes."""
     r = rng()
-    x = r.uniform(-2, 2, (2, n, 5, 7))  # (C, N, H, W), odd H and W
+    if view:
+        x = r.uniform(-2, 2, (n, 2, 5, 7)).transpose(1, 0, 2, 3)
+    else:
+        x = r.uniform(-2, 2, (2, n, 5, 7))  # (C, N, H, W), odd H and W
     w = r.uniform(-1, 1, (3, 2) + kernel)
-    if not epilogue:
-        return (x, w, stride), {}
-    return (x, w, stride), dict(scale=r.uniform(0.5, 1.5, 3), shift=r.uniform(-1, 1, 3))
+    return x, w, stride
 
 
 def on_caller_or_pool(thread_name):
@@ -451,10 +471,10 @@ class TestSplitConv:
     both claim ranges, so no test assumes which thread runs which range."""
 
     @staticmethod
-    def serial(monkeypatch, args, kwargs):
+    def serial(monkeypatch, args):
         with monkeypatch.context() as m:
             m.setattr(T, "_SPLIT_FLOP", float("inf"))
-            return T.conv2d_cnhw(*args, **kwargs)
+            return T.conv2d_cnhw(*args)
 
     @staticmethod
     def traced(monkeypatch):
@@ -478,22 +498,23 @@ class TestSplitConv:
     @pytest.mark.parametrize("n", [1, 2, 5])
     @pytest.mark.parametrize("kernel,stride,padding,bias", SAME_GRID)
     def test_split_equals_serial(self, monkeypatch, kernel, stride, padding, bias, n, per_range):
-        # bias selects the epilogue; N = 1, 2, 5 runs ranges of 1, 1+1 and 3+2 samples.
-        # In chunks of one sample both engines run the same GEMMs, so the results are
-        # bitwise equal; one chunk per range against one for the batch changes the GEMM
-        # widths, which BLAS may round differently, so that pair gets the chunk tests' bound.
-        args, kwargs = split_operands(kernel, stride, n, bias)
+        # bias selects the NCHW-view input of the taped conv2d, which adds its bias after
+        # the engine; N = 1, 2, 5 runs ranges of 1, 1+1 and 3+2 samples. In chunks of one
+        # sample both engines run the same GEMMs, so the results are bitwise equal; one
+        # chunk per range against one for the batch changes the GEMM widths, which BLAS
+        # may round differently, so that pair gets the chunk tests' bound.
+        args = split_operands(kernel, stride, n, bias)
         sample = 2 * kernel[0] * kernel[1] * -(-5 // stride[0]) * -(-7 // stride[1])
         monkeypatch.setattr(T, "_MIN_GEMM_COLS", sys.maxsize)  # the budget alone sets the chunks
         if per_range is not None:
             monkeypatch.setattr(T, "_COLS_CHUNK", per_range * sample)
-        want = self.serial(monkeypatch, args, kwargs)
+        want = self.serial(monkeypatch, args)
         if per_range is not None:
             monkeypatch.setattr(T, "_COLS_CHUNK", 2 * per_range * sample)
         monkeypatch.setattr(T, "_SPLIT_FLOP", 0)
         monkeypatch.setattr(T, "_CORES", 2)
         chunks, requests = self.traced(monkeypatch)
-        got = T.conv2d_cnhw(*args, **kwargs)
+        got = T.conv2d_cnhw(*args)
         if per_range is None and n > 1:
             assert rel_gap(got, want) <= 1e-12
         else:
@@ -505,16 +526,16 @@ class TestSplitConv:
             assert all(samples == 1 for _, samples in chunks)
 
     def test_below_threshold_runs_inline(self, monkeypatch):
-        args, kwargs = split_operands((3, 3), (1, 1), 5, True)
+        args = split_operands((3, 3), (1, 1), 5, True)
         work = 2 * 3 * 2 * 9 * 5 * 5 * 7  # 2·K·C·kh·kw·N·Ho·Wo
         monkeypatch.setattr(T, "_CORES", 2)
         monkeypatch.setattr(T, "_SPLIT_FLOP", work + 1)
         chunks, _ = self.traced(monkeypatch)
-        below = T.conv2d_cnhw(*args, **kwargs)
+        below = T.conv2d_cnhw(*args)
         assert chunks == [(threading.current_thread().name, 5)]
         monkeypatch.setattr(T, "_SPLIT_FLOP", work)
         del chunks[:]
-        at = T.conv2d_cnhw(*args, **kwargs)
+        at = T.conv2d_cnhw(*args)
         # two ranges of one chunk each, whichever threads ran them
         assert sorted(samples for _, samples in chunks) == [2, 3]
         assert rel_gap(at, below) <= 1e-12
@@ -538,7 +559,7 @@ class TestSplitConv:
         # slot, dW accumulator or col2im samples would show
         forward = [split_operands(k, s, 5, True) for k, s in [((3, 3), (1, 1)), ((3, 1), (2, 1)), ((1, 1), (2, 2))]]
         backward = [backward_operands(k, s, 5, nchw) for k, s, nchw in [((3, 3), (1, 1), False), ((3, 1), (2, 1), True)]]
-        calls = [lambda a=a, kw=kw: (T.conv2d_cnhw(*a, **kw),) for a, kw in forward]
+        calls = [lambda a=a: (T.conv2d_cnhw(*a),) for a in forward]
         calls += [lambda a=a: split_backward(a) for a in backward]
         monkeypatch.setattr(T, "_SPLIT_FLOP", 0)
         monkeypatch.setattr(T, "_CORES", 3)
@@ -616,11 +637,11 @@ def split_backward(args):
 
 
 def split_call(direction, stride):
-    """One 3×3 conv over N = 5 samples, ``forward`` (with the epilogue) or ``backward``
-    (from an NCHW-view gradient), as a call that returns its results."""
+    """One 3×3 conv over N = 5 samples, ``forward`` (on an NCHW-view input) or
+    ``backward`` (from an NCHW-view gradient), as a call that returns its results."""
     if direction == "forward":
-        args, kwargs = split_operands((3, 3), stride, 5, True)
-        return lambda: (T.conv2d_cnhw(*args, **kwargs),)
+        args = split_operands((3, 3), stride, 5, True)
+        return lambda: (T.conv2d_cnhw(*args),)
     return partial(split_backward, backward_operands((3, 3), stride, 5, True))
 
 
@@ -791,22 +812,21 @@ class TestPadScratch:
     @pytest.mark.parametrize("kernel,stride,padding,bias", SAME_GRID)
     def test_stale_pad_slots_match_np_pad_bitwise(self, monkeypatch, kernel, stride, padding, bias, extent, split):
         # N = 5 in chunks of 3 + 2 (serial) or ranges of 3 and 2 (split); at stride 2 an even
-        # extent pads one pixel below or right only. bias selects the epilogue and the
-        # NCHW-view gradient. The reference is the same engine on np.pad windows.
+        # extent pads one pixel below or right only. bias selects the NCHW-view gradient.
+        # The reference is the same engine on np.pad windows.
         r = rng()
         x = r.uniform(-2, 2, (5, 2) + extent).transpose(1, 0, 2, 3)  # channel-major view
         w = r.uniform(-1, 1, (3, 2) + kernel)
         ho, wo = -(-extent[0] // stride[0]), -(-extent[1] // stride[1])
         g = r.uniform(-1, 1, (5, 3, ho, wo)).transpose(1, 0, 2, 3) if bias else r.uniform(-1, 1, (3, 5, ho, wo))
-        kwargs = dict(scale=r.uniform(0.5, 1.5, 3), shift=r.uniform(-1, 1, 3)) if bias else {}
         monkeypatch.setattr(T, "_MIN_GEMM_COLS", 2 * ho * wo)
         monkeypatch.setattr(T, "_CORES", 2)
         monkeypatch.setattr(T, "_SPLIT_FLOP", 0 if split else float("inf"))
         with monkeypatch.context() as m:
             m.setattr(T, "_windows", reference_windows)
-            want = T.conv2d_cnhw(x, w, stride, **kwargs), *split_backward((x, w, stride, g, True))
+            want = T.conv2d_cnhw(x, w, stride), *split_backward((x, w, stride, g, True))
         self.stale_pads()
-        y = T.conv2d_cnhw(x, w, stride, **kwargs)
+        y = T.conv2d_cnhw(x, w, stride)
         self.stale_pads()
         got = y, *split_backward((x, w, stride, g, True))
         for a, b in zip(got, want):
@@ -928,8 +948,9 @@ class TestBackward:
         r = rng()
         x = Tensor(r.uniform(-1, 1, (3, 4)), requires_grad=True)
         w = Tensor(r.uniform(-1, 1, (4, 2)), requires_grad=True)
+        b = Tensor(r.uniform(-1, 1, (2,)), requires_grad=True)
         with Tape() as tape:
-            y = T.matmul(x, w)
+            y = T.linear(x, w, b)
             z = T.tanh(y)
             zz = T.mul(z, z)
             root = T.sum_all(zz)
@@ -1130,14 +1151,14 @@ class TestRejection:
         "call",
         [
             lambda: _zeros(3).accumulate_grad(np.zeros(4)),
-            lambda: T.add_bias(_zeros(2, 3), _zeros(4)),
+            lambda: T.linear(_zeros(2, 3), _zeros(3, 4), _zeros(3)),
             lambda: T.softmax_rows(_zeros(3)),
             lambda: T.concat([], axis=0),
             lambda: T.getitem(_zeros(3), np.array([0, 1])),
             lambda: T.getitem(_zeros(3), None),
             lambda: T.getitem(_zeros(3), Ellipsis),
             lambda: T.getitem(_zeros(3), 1.0),
-            lambda: T.matmul(_zeros(2, 3), _zeros(2, 3)),
+            lambda: T.linear(_zeros(2, 3), _zeros(2, 3), _zeros(3)),
             lambda: T.conv2d(_zeros(1, 4, 4), _zeros(2, 1, 3, 3)),
             lambda: T.conv2d(_zeros(1, 1, 4, 4), _zeros(2, 1, 3, 3), stride=(0, 1)),
             lambda: T.conv2d(_zeros(1, 1, 4, 4), _zeros(2, 1, 3, 3), _zeros(3)),
@@ -1145,14 +1166,14 @@ class TestRejection:
         ],
         ids=[
             "accumulate_grad-shape",
-            "add_bias-size",
+            "linear-bias-size",
             "softmax_rows-rank",
             "concat-empty",
             "getitem-array",
             "getitem-None",
             "getitem-Ellipsis",
             "getitem-float",
-            "matmul-shapes",
+            "linear-shapes",
             "conv2d-rank",
             "conv2d-stride",
             "conv2d-bias",
