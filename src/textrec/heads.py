@@ -69,6 +69,8 @@ def lstm_scan(seq: Tensor, w_x: Tensor, w_h: Tensor, b: Tensor, reverse: bool) -
     dZ (T, N, 4H), and then each of dW_x, dW_h and dX is one GEMM and db one
     sum. dX is skipped when ``seq`` does not require a gradient.
     """
+    if seq.ndim != 3:
+        raise ShapeError(f"lstm_scan expects a (T, N, F) sequence, got {seq.shape}")
     t_len, n, f = seq.shape
     h_sz = w_h.shape[0]
     if w_x.shape != (f, 4 * h_sz) or w_h.shape != (h_sz, 4 * h_sz) or b.shape != (4 * h_sz,):

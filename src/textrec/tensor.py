@@ -258,20 +258,27 @@ def sum_all(x: Tensor) -> Tensor:
 
 def reshape(x: Tensor, shape) -> Tensor:
     old = x.data.shape
-    return apply_op(x.data.reshape(shape), (x,), lambda g: (g.reshape(old),))
+    try:
+        y = x.data.reshape(shape)
+    except ValueError:
+        raise ShapeError(f"reshape: cannot reshape {old} to {shape}") from None
+    return apply_op(y, (x,), lambda g: (g.reshape(old),))
 
 
 def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
     if not tensors:
         raise ShapeError("concat of empty tensor list")
     datas = [t.data for t in tensors]
-    sizes = [d.shape[axis] for d in datas]
-    splits = np.cumsum(sizes)[:-1]
+    try:
+        y = np.concatenate(datas, axis=axis)
+    except ValueError:
+        raise ShapeError(f"concat: shapes {[d.shape for d in datas]} do not join on axis {axis}") from None
+    splits = np.cumsum([d.shape[axis] for d in datas])[:-1]
 
     def pull(g):
         return tuple(np.array_split(g, splits, axis=axis))
 
-    return apply_op(np.concatenate(datas, axis=axis), tuple(tensors), pull)
+    return apply_op(y, tuple(tensors), pull)
 
 
 def getitem(x: Tensor, idx) -> Tensor:
@@ -279,7 +286,8 @@ def getitem(x: Tensor, idx) -> Tensor:
     if not isinstance(idx, tuple):
         idx = (idx,)
     for i in idx:
-        if not isinstance(i, (slice, int, np.integer)):
+        # bool is an int, but NumPy reads it as a new axis
+        if isinstance(i, bool) or not isinstance(i, (slice, int, np.integer)):
             raise ShapeError("getitem supports basic slicing only (ints and slices)")
     shape = x.data.shape
 
@@ -530,6 +538,7 @@ def _conv_backward(
     prods = [np.empty(wmat.shape) if len(chunks) > 1 else None for chunks, _, _ in plan]
     if need_dx:
         hp, wp = h + pt + pb, wd + pl + pr
+        # a reused slot, not an owned dX: owning it cost train_toy about 12% of its strips/s
         dxp = _scratch(c * n * hp * wp, "col2im").reshape(c, n, hp, wp)
 
     def run(chunks, buf: np.ndarray, pad: np.ndarray | None, dw: np.ndarray, prod: np.ndarray | None) -> None:
@@ -575,9 +584,9 @@ def conv2d(
     k, ck = w.shape[:2]
     if ck != c:
         raise ShapeError(f"conv2d: input has {c} channels but kernel expects {ck}")
-    stride = (int(stride[0]), int(stride[1]))
-    if stride[0] < 1 or stride[1] < 1:
-        raise ShapeError("conv2d: stride components must be >= 1")
+    stride = tuple(int(s) for s in stride)
+    if len(stride) != 2 or min(stride) < 1:
+        raise ShapeError(f"conv2d: stride {stride} must be two components >= 1")
     if b is not None and b.shape != (k,):
         raise ShapeError(f"conv2d: bias shape {b.shape} != ({k},)")
 

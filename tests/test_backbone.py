@@ -16,8 +16,7 @@ from textrec.backbone import (
 )
 from textrec.datagen import rendered_width
 from textrec.errors import ShapeError
-from textrec.gradcheck import check_gradients
-from textrec.selfcheck import _random_affine, _random_bn
+from textrec.selfcheck import _random_affine, _random_bn, check_gradients
 from textrec.tensor import Tape, Tensor, add, mul, relu, scale_channels, sum_all, tanh
 
 
@@ -302,7 +301,7 @@ class TestBlockOp:
             assert len(tape) == 3 + sum(cfg.stage_blocks)
 
 
-class TestBnFold:
+class TestEvalPaths:
     @staticmethod
     def calibrated(seed=0):
         """Toy backbone with running statistics from one batch and random affine BN parameters."""
@@ -314,14 +313,14 @@ class TestBnFold:
         _random_affine(bb, r)
         return bb, r
 
-    def test_folded_eval_matches_taped_eval(self):
+    def test_untracked_eval_matches_taped_eval(self):
         bb, r = self.calibrated()
         image = Tensor(r.uniform(0, 1, (3, 1, 32, 40)))
-        folded = bb.forward(image, training=False)
+        untracked = bb.forward(image, training=False)
         with Tape() as tape:
             ref = bb.forward(image, training=False)
-        assert not folded.requires_grad and len(tape) > 0
-        assert np.array_equal(folded.data, ref.data)
+        assert not untracked.requires_grad and len(tape) > 0
+        assert np.array_equal(untracked.data, ref.data)
 
     def test_block_eval_matches_taped_block(self):
         # block by block on NCHW tensors, as a per-layer trace runs them:

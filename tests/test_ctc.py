@@ -16,8 +16,7 @@ from textrec.ctc import (
     label_min_frames,
 )
 from textrec.errors import DataError, InfeasibleLabelError, ShapeError
-from textrec.gradcheck import check_gradients
-from textrec.selfcheck import brute_force_ctc_loss, random_row_stochastic
+from textrec.selfcheck import brute_force_ctc_loss, check_gradients, random_row_stochastic
 from textrec.tensor import Tape, Tensor, softmax_rows
 
 

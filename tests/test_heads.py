@@ -3,8 +3,8 @@ import pytest
 
 from textrec.ctc import ctc_loss
 from textrec.errors import ShapeError
-from textrec.gradcheck import check_gradients
 from textrec.heads import BlstmConfig, ContextBranch, LstmDirection, SupervisionBranch, lstm_scan
+from textrec.selfcheck import check_gradients
 from textrec.tensor import (
     Tape,
     Tensor,
@@ -277,8 +277,9 @@ class TestBatchedEquivalence:
     [
         (lambda: BlstmConfig(hidden_size=0), ValueError),
         (lambda: SupervisionBranch(4, 3, np.random.default_rng(0)).forward(Tensor(np.zeros((2, 4)))), ShapeError),
+        (lambda: lstm_scan(*(Tensor(np.zeros(s)) for s in ((3, 5), (5, 16), (4, 16), (16,))), False), ShapeError),
     ],
-    ids=["hidden-size", "sequence-rank"],
+    ids=["hidden-size", "sequence-rank", "lstm_scan-rank"],
 )
 def test_rejects(call, error):
     with pytest.raises(error):

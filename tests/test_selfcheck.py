@@ -19,7 +19,7 @@ CHECKS = [
     "grad/context_branch",
     "grad/supervision_branch",
     "grad/lstm_scan",
-    "eval/bn_fold",
+    "eval/untracked_equals_taped",
     "grad/batch_norm",
     "grad/basic_block",
 ]
@@ -27,13 +27,14 @@ CHECKS = [
 
 def test_every_selfcheck_passes():
     results = selfcheck.run_all()
-    # the exact suite, so that a check dropped while it moves fails here
-    assert sorted(r.name for r in results) == sorted(CHECKS)
+    # the exact suite in its order, so that a check dropped or moved fails here
+    assert [r.name for r in results] == CHECKS
     failed = [r.line() for r in results if not r.passed]
     assert not failed, "\n".join(failed)
-    # every check draws from its own generator, so one run alone reads as it does in the suite
-    alone = selfcheck._ctc_conservation_check()
-    assert alone.max_error == {r.name: r.max_error for r in results}[alone.name]
+    # every check draws from its own generator, so each row run alone, last row first,
+    # reads as it does in the suite
+    for (name, _, check), result in reversed(list(zip(selfcheck.CHECKS, results))):
+        assert check(selfcheck._rng(name)) == result.max_error, name
 
 
 def test_a_result_line_reads_its_status_error_and_tolerance():

@@ -12,7 +12,7 @@ import pytest
 
 from textrec import tensor as T
 from textrec.errors import ShapeError
-from textrec.gradcheck import check_gradients
+from textrec.selfcheck import check_gradients
 from textrec.tensor import Tape, Tensor
 
 
@@ -1154,13 +1154,18 @@ class TestRejection:
             lambda: T.linear(_zeros(2, 3), _zeros(3, 4), _zeros(3)),
             lambda: T.softmax_rows(_zeros(3)),
             lambda: T.concat([], axis=0),
+            lambda: T.concat([_zeros(2, 3), _zeros(2, 4)], axis=0),
+            lambda: T.concat([_zeros(2, 3), _zeros(2)], axis=1),
+            lambda: T.reshape(_zeros(2, 3), (4, 2)),
             lambda: T.getitem(_zeros(3), np.array([0, 1])),
             lambda: T.getitem(_zeros(3), None),
             lambda: T.getitem(_zeros(3), Ellipsis),
             lambda: T.getitem(_zeros(3), 1.0),
+            lambda: T.getitem(_zeros(3, 3), True),
             lambda: T.linear(_zeros(2, 3), _zeros(2, 3), _zeros(3)),
             lambda: T.conv2d(_zeros(1, 4, 4), _zeros(2, 1, 3, 3)),
             lambda: T.conv2d(_zeros(1, 1, 4, 4), _zeros(2, 1, 3, 3), stride=(0, 1)),
+            lambda: T.conv2d(_zeros(1, 1, 4, 4), _zeros(2, 1, 3, 3), stride=(1, 1, 1)),
             lambda: T.conv2d(_zeros(1, 1, 4, 4), _zeros(2, 1, 3, 3), _zeros(3)),
             lambda: T.scale_channels(_zeros(1, 4, 4), _zeros(1, 4, 4)),
         ],
@@ -1169,13 +1174,18 @@ class TestRejection:
             "linear-bias-size",
             "softmax_rows-rank",
             "concat-empty",
+            "concat-dims",
+            "concat-rank",
+            "reshape-size",
             "getitem-array",
             "getitem-None",
             "getitem-Ellipsis",
             "getitem-float",
+            "getitem-bool",
             "linear-shapes",
             "conv2d-rank",
             "conv2d-stride",
+            "conv2d-stride-length",
             "conv2d-bias",
             "scale_channels-rank",
         ],
