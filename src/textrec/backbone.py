@@ -23,7 +23,6 @@ from .tensor import (
     apply_op,
     conv2d,
     conv2d_cnhw,
-    parameter,
     relu,
     sigmoid,
     tracking,
@@ -61,7 +60,7 @@ class BackboneConfig:
 
 def _he_conv(rng: np.random.Generator, out_ch: int, in_ch: int, kh: int, kw: int) -> Tensor:
     std = np.sqrt(2.0 / (in_ch * kh * kw))
-    return parameter(rng.normal(0.0, std, size=(out_ch, in_ch, kh, kw)))
+    return Tensor(rng.normal(0.0, std, size=(out_ch, in_ch, kh, kw)), requires_grad=True)
 
 
 class Conv2d(Module):
@@ -86,8 +85,8 @@ class BatchNorm2d(Module):
     """
 
     def __init__(self, channels: int):
-        self.gamma = parameter(np.ones(channels))
-        self.beta = parameter(np.zeros(channels))
+        self.gamma = Tensor(np.ones(channels), requires_grad=True)
+        self.beta = Tensor(np.zeros(channels), requires_grad=True)
         self.state = BatchNormState(channels)
 
     def normalize(self, y: np.ndarray, training: bool) -> np.ndarray:
@@ -293,7 +292,7 @@ class AttentionModule(Module):
 
     def __init__(self, channels: int, rng: np.random.Generator):
         self.conv_w = _he_conv(rng, 1, channels, 3, 1)
-        self.conv_b = parameter(np.zeros(1))
+        self.conv_b = Tensor(np.zeros(1), requires_grad=True)
 
     def forward(self, features: Tensor) -> Tensor:
         return sigmoid(conv2d(features, self.conv_w, self.conv_b, stride=(1, 1)))

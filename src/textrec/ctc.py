@@ -13,12 +13,12 @@ long sequences cannot underflow. Blank is always class 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataError, InfeasibleLabelError, ShapeError
-from .tensor import Tensor, apply_op
+from .tensor import Tensor, apply_op, is_integer
 
 BLANK = 0
 
@@ -35,14 +35,12 @@ class Alphabet:
     """
 
     characters: str = "abcdefghijklmnopqrstuvwxyz0123456789"
-    _index: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(set(self.characters)) != len(self.characters):
             raise DataError("alphabet characters must be unique")
         if not self.characters:
             raise DataError("alphabet must contain at least one character")
-        object.__setattr__(self, "_index", {ch: i + 1 for i, ch in enumerate(self.characters)})
 
     @property
     def num_classes(self) -> int:
@@ -52,18 +50,17 @@ class Alphabet:
     def encode(self, text: str) -> list[int]:
         ids = []
         for ch in text:
-            k = self._index.get(ch)
-            if k is None:
+            k = self.characters.find(ch)
+            if k < 0:
                 raise DataError(f"character {ch!r} is not in the alphabet")
-            ids.append(k)
+            ids.append(k + 1)
         return ids
 
     def decode(self, ids) -> str:
         chars = []
         for k in ids:
-            k = int(k)
-            if not 1 <= k < self.num_classes:
-                raise DataError(f"class index {k} is outside the alphabet")
+            if not is_integer(k) or not 1 <= k < self.num_classes:
+                raise DataError(f"class index {k!r} is not an integer inside the alphabet")
             chars.append(self.characters[k - 1])
         return "".join(chars)
 
@@ -92,12 +89,15 @@ def is_feasible(label, num_frames: int) -> bool:
 
 
 def _validate_label(label, num_classes: int) -> list[int]:
-    ids = [int(k) for k in label]
-    for k in ids:
+    ids = []
+    for k in label:
+        if not is_integer(k):
+            raise DataError(f"label symbol {k!r} is not an integer")
         if k == BLANK:
             raise DataError("labels must not contain the blank symbol")
         if not 1 <= k < num_classes:
             raise DataError(f"label symbol {k} outside alphabet of {num_classes} classes")
+        ids.append(int(k))
     return ids
 
 

@@ -23,7 +23,6 @@ from .tensor import (
     apply_op,
     concat,
     linear,
-    parameter,
     reshape,
     softmax_rows,
 )
@@ -48,7 +47,7 @@ class BlstmConfig:
 
 
 def _uniform(rng: np.random.Generator, *shape: int) -> Tensor:
-    return parameter(rng.uniform(-INIT_RANGE, INIT_RANGE, size=shape))
+    return Tensor(rng.uniform(-INIT_RANGE, INIT_RANGE, size=shape), requires_grad=True)
 
 
 def lstm_scan(seq: Tensor, w_x: Tensor, w_h: Tensor, b: Tensor, reverse: bool) -> Tensor:
@@ -147,7 +146,7 @@ class LstmDirection(Module):
         self.w_h = _uniform(rng, h, 4 * h)
         bias = np.zeros(4 * h)
         bias[h : 2 * h] = 1.0
-        self.bias = parameter(bias)
+        self.bias = Tensor(bias, requires_grad=True)
 
     def forward(self, seq: Tensor) -> Tensor:
         """Hidden states of every step, (T, N, H), indexed by input position."""
@@ -187,7 +186,7 @@ class ContextBranch(Module):
         self.layer1 = BlstmLayer(rng, input_size, config.hidden_size)
         self.layer2 = BlstmLayer(rng, config.output_size, config.hidden_size)
         self.fc_w = _uniform(rng, config.output_size, num_classes)
-        self.fc_b = parameter(np.zeros(num_classes))
+        self.fc_b = Tensor(np.zeros(num_classes), requires_grad=True)
 
     def forward(self, seq: Tensor) -> Tensor:
         t_len, n, _ = _check_sequence(seq)
@@ -202,7 +201,7 @@ class SupervisionBranch(Module):
 
     def __init__(self, input_size: int, num_classes: int, rng):
         self.fc_w = _uniform(rng, input_size, num_classes)
-        self.fc_b = parameter(np.zeros(num_classes))
+        self.fc_b = Tensor(np.zeros(num_classes), requires_grad=True)
 
     def forward(self, seq: Tensor) -> Tensor:
         t_len, n, f = _check_sequence(seq)

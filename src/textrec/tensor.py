@@ -1,7 +1,7 @@
 """Dense float64 tensors with taped reverse-mode differentiation.
 
 Everything runs in 64-bit floating point. Operations record themselves onto
-the active :class:`Tape` (a thread-local stack), and :meth:`Tape.backward`
+the active :class:`Tape` (one tape per thread), and :meth:`Tape.backward`
 consumes the records strictly in reverse execution order, so every tensor's
 gradient is complete before any earlier operation consumes it. Backward
 leaves ``grad`` set on leaf tensors only: each record, with the arrays its
@@ -28,21 +28,14 @@ from .errors import ShapeError
 _LOCAL = threading.local()
 
 
-def _tape_stack() -> list["Tape"]:
-    stack = getattr(_LOCAL, "stack", None)
-    if stack is None:
-        stack = []
-        _LOCAL.stack = stack
-    return stack
-
-
-def active_tape() -> "Tape | None":
-    stack = _tape_stack()
-    return stack[-1] if stack else None
-
-
 class Tensor:
-    """N-dimensional float64 array with an optional gradient buffer."""
+    """N-dimensional float64 array with an optional gradient buffer.
+
+    ``Tensor(data, requires_grad=True)`` builds a trainable leaf. It adopts a
+    float64 ndarray as its storage, uncopied, so a build holds each parameter
+    once and peaks at no more than it keeps (as ``torch.from_numpy`` shares its
+    buffer). Lists and other dtypes are converted into a new array.
+    """
 
     __slots__ = ("data", "requires_grad", "grad")
 
@@ -83,17 +76,6 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
 
-def parameter(data) -> Tensor:
-    """Take over ``data`` as a trainable tensor.
-
-    The caller hands the array over: a float64 ndarray becomes the tensor's
-    storage, uncopied, so a build holds each parameter once and peaks at no
-    more than it keeps (as ``torch.from_numpy`` shares its buffer). Lists and
-    other dtypes are converted into a new array.
-    """
-    return Tensor(data, requires_grad=True)
-
-
 class Tape:
     """Execution-ordered record of differentiable operations, used once.
 
@@ -101,6 +83,9 @@ class Tape:
     reverse-mode differentiation and consumes the records. ``len`` is the
     number of ops recorded, before and after backward. Ops executed while no
     tape is active are plain numpy computations with no gradient tracking.
+    At most one tape records on a thread: entering another while one is
+    active raises ``RuntimeError``, since the outer tape would miss the inner
+    one's ops. A tape may be entered again after it is left.
     """
 
     def __init__(self):
@@ -111,12 +96,13 @@ class Tape:
         self._consumed = False
 
     def __enter__(self) -> "Tape":
-        _tape_stack().append(self)
+        if getattr(_LOCAL, "tape", None) is not None:
+            raise RuntimeError("a tape is already recording on this thread; tapes do not nest")
+        _LOCAL.tape = self
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        popped = _tape_stack().pop()
-        assert popped is self
+        _LOCAL.tape = None
 
     def __len__(self) -> int:
         return self._recorded
@@ -161,7 +147,7 @@ def _pull(out: Tensor, inputs: tuple[Tensor, ...], pull: Callable) -> None:
 
 def tracking(inputs: Sequence[Tensor]) -> bool:
     """Whether an op over ``inputs`` is recorded: a tape is active and some input requires grad."""
-    return active_tape() is not None and any(t.requires_grad for t in inputs)
+    return getattr(_LOCAL, "tape", None) is not None and any(t.requires_grad for t in inputs)
 
 
 def apply_op(out_data: np.ndarray, inputs: Sequence[Tensor], pull: Callable) -> Tensor:
@@ -169,7 +155,7 @@ def apply_op(out_data: np.ndarray, inputs: Sequence[Tensor], pull: Callable) -> 
     track = tracking(inputs)
     out = Tensor(out_data, requires_grad=track)
     if track:
-        active_tape().record(out, tuple(inputs), pull)
+        _LOCAL.tape.record(out, tuple(inputs), pull)
     return out
 
 
@@ -281,22 +267,31 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
     return apply_op(y, tuple(tensors), pull)
 
 
+def is_integer(v) -> bool:
+    """Whether ``v`` is an int or a NumPy integer, and not a bool (NumPy reads a bool
+    index as a new axis). Strides, class ids and labels are checked with it, since ``int()``
+    would truncate 1.7 to 1."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 def getitem(x: Tensor, idx) -> Tensor:
     """Basic slicing (slices and ints, NumPy's included); gradients scatter back into place."""
     if not isinstance(idx, tuple):
         idx = (idx,)
-    for i in idx:
-        # bool is an int, but NumPy reads it as a new axis
-        if isinstance(i, bool) or not isinstance(i, (slice, int, np.integer)):
-            raise ShapeError("getitem supports basic slicing only (ints and slices)")
+    if not all(isinstance(i, slice) or is_integer(i) for i in idx):
+        raise ShapeError("getitem supports basic slicing only (ints and slices)")
     shape = x.data.shape
+    try:
+        y = x.data[idx]
+    except IndexError:
+        raise ShapeError(f"getitem: index {idx} does not fit shape {shape}") from None
 
     def pull(g):
         buf = np.zeros(shape)
         buf[idx] = g
         return (buf,)
 
-    return apply_op(x.data[idx], (x,), pull)
+    return apply_op(y, (x,), pull)
 
 
 # ---------------------------------------------------------------------------
@@ -584,9 +579,9 @@ def conv2d(
     k, ck = w.shape[:2]
     if ck != c:
         raise ShapeError(f"conv2d: input has {c} channels but kernel expects {ck}")
+    if len(stride) != 2 or not all(is_integer(s) and s >= 1 for s in stride):
+        raise ShapeError(f"conv2d: stride {stride} must be two integers >= 1")
     stride = tuple(int(s) for s in stride)
-    if len(stride) != 2 or min(stride) < 1:
-        raise ShapeError(f"conv2d: stride {stride} must be two components >= 1")
     if b is not None and b.shape != (k,):
         raise ShapeError(f"conv2d: bias shape {b.shape} != ({k},)")
 

@@ -193,8 +193,8 @@ class TestParameterWalk:
 
 class TestBuildMemory:
     def test_backbone_build_peaks_at_what_it_holds(self):
-        # parameter() takes over each freshly drawn array, so building holds every
-        # parameter once and never a second copy of the largest weight
+        # Tensor(..., requires_grad=True) takes over each freshly drawn array, so
+        # building holds every parameter once and never a second copy of the largest weight
         rng = np.random.default_rng(0)
         tracemalloc.start()
         try:

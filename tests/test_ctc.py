@@ -256,12 +256,25 @@ class TestFeasibilityHelpers:
     [
         (lambda: Alphabet(""), DataError),
         (lambda: Alphabet("ab").decode([3]), DataError),
+        (lambda: Alphabet("ab").decode([1.9]), DataError),
+        (lambda: Alphabet("ab").decode([True]), DataError),
         (lambda: ctc_loss(Tensor(np.full((2, 3), 1 / 3)), [1, BLANK]), DataError),
         (lambda: ctc_loss(Tensor(np.full((2, 3), 1 / 3)), [3]), DataError),
+        (lambda: ctc_loss(Tensor(np.full((2, 3), 1 / 3)), [1.9]), DataError),
         (lambda: ctc_loss(Tensor(np.full(3, 1 / 3)), []), ShapeError),
         (lambda: greedy_decode(np.full(3, 1 / 3)), ShapeError),
     ],
-    ids=["empty-alphabet", "decode-range", "label-blank", "label-range", "loss-rank", "decode-rank"],
+    ids=[
+        "empty-alphabet",
+        "decode-range",
+        "decode-float",
+        "decode-bool",
+        "label-blank",
+        "label-range",
+        "label-float",
+        "loss-rank",
+        "decode-rank",
+    ],
 )
 def test_rejects(call, error):
     with pytest.raises(error):

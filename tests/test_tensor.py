@@ -40,18 +40,18 @@ class TestTensor:
         with pytest.raises(ShapeError):
             Tensor(np.array([1.0, 2.0])).item()
 
-    def test_parameter_takes_over_a_float64_array(self):
+    def test_leaf_takes_over_a_float64_array(self):
         data = np.arange(6.0).reshape(2, 3)
-        p = T.parameter(data)
+        p = Tensor(data, requires_grad=True)
         assert np.shares_memory(p.data, data) and p.requires_grad
 
-    def test_parameter_converts_a_list(self):
-        p = T.parameter([1.0, 2.0, 3.0])
+    def test_leaf_converts_a_list(self):
+        p = Tensor([1.0, 2.0, 3.0], requires_grad=True)
         assert p.data.dtype == np.float64 and np.array_equal(p.data, [1.0, 2.0, 3.0])
 
-    def test_parameter_converts_a_float32_array(self):
+    def test_leaf_converts_a_float32_array(self):
         data = np.array([1.0, 2.0, 3.0], dtype=np.float32)
-        p = T.parameter(data)
+        p = Tensor(data, requires_grad=True)
         assert p.data.dtype == np.float64 and np.array_equal(p.data, data)
         assert not np.shares_memory(p.data, data)
 
@@ -1084,6 +1084,40 @@ class TestBackward:
         y = T.scale(x, 3.0)
         assert y.requires_grad is False
 
+    def test_a_nested_tape_raises_and_the_outer_tape_keeps_every_op(self):
+        # a second tape on the thread would take mul's record from the outer one
+        x = Tensor(np.array([1.0, -2.0, 0.5]), requires_grad=True)
+        with Tape() as outer:
+            y = T.scale(x, 3.0)
+            with pytest.raises(RuntimeError):
+                with Tape():
+                    pass
+            root = T.sum_all(T.mul(y, y))
+        outer.backward(root)
+        np.testing.assert_array_equal(x.grad, 18.0 * x.data)
+
+    def test_a_tape_records_only_its_own_threads_ops(self):
+        x = Tensor(np.array([1.0, -2.0, 0.5]), requires_grad=True)
+        y = Tensor(np.array([0.25, 3.0, -1.5]), requires_grad=True)
+        seen = {}
+
+        def other_thread():
+            seen["untaped"] = [T.scale(x, 2.0), T.mul(y, y)]
+            with Tape() as tape:
+                root = T.sum_all(T.mul(y, y))
+            tape.backward(root)
+            seen["records"] = len(tape)
+
+        with Tape() as tape:
+            T.scale(x, 3.0)
+            t = threading.Thread(target=other_thread)
+            t.start()
+            t.join(timeout=30)
+            assert not t.is_alive() and len(tape) == 1
+        assert [u.requires_grad for u in seen["untaped"]] == [False, False]
+        assert seen["records"] == 2 and x.grad is None
+        np.testing.assert_array_equal(y.grad, 2.0 * y.data)
+
     def test_finite_outputs_on_bounded_inputs(self):
         r = rng()
         x = Tensor(r.uniform(-2, 2, (2, 3, 8, 8)))
@@ -1162,10 +1196,14 @@ class TestRejection:
             lambda: T.getitem(_zeros(3), Ellipsis),
             lambda: T.getitem(_zeros(3), 1.0),
             lambda: T.getitem(_zeros(3, 3), True),
+            lambda: T.getitem(_zeros(3, 3), 5),
+            lambda: T.getitem(_zeros(3, 3), (0, 0, 0)),
             lambda: T.linear(_zeros(2, 3), _zeros(2, 3), _zeros(3)),
             lambda: T.conv2d(_zeros(1, 4, 4), _zeros(2, 1, 3, 3)),
             lambda: T.conv2d(_zeros(1, 1, 4, 4), _zeros(2, 1, 3, 3), stride=(0, 1)),
             lambda: T.conv2d(_zeros(1, 1, 4, 4), _zeros(2, 1, 3, 3), stride=(1, 1, 1)),
+            lambda: T.conv2d(_zeros(1, 1, 4, 4), _zeros(2, 1, 3, 3), stride=(1.7, 1)),
+            lambda: T.conv2d(_zeros(1, 1, 4, 4), _zeros(2, 1, 3, 3), stride=(True, 1)),
             lambda: T.conv2d(_zeros(1, 1, 4, 4), _zeros(2, 1, 3, 3), _zeros(3)),
             lambda: T.scale_channels(_zeros(1, 4, 4), _zeros(1, 4, 4)),
         ],
@@ -1182,10 +1220,14 @@ class TestRejection:
             "getitem-Ellipsis",
             "getitem-float",
             "getitem-bool",
+            "getitem-out-of-range",
+            "getitem-too-many",
             "linear-shapes",
             "conv2d-rank",
             "conv2d-stride",
             "conv2d-stride-length",
+            "conv2d-stride-float",
+            "conv2d-stride-bool",
             "conv2d-bias",
             "scale_channels-rank",
         ],
