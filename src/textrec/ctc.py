@@ -70,6 +70,8 @@ def collapse(path) -> list[int]:
     out = []
     prev = None
     for p in path:
+        if not is_integer(p):
+            raise DataError(f"path symbol {p!r} is not an integer")
         p = int(p)
         if p != prev and p != BLANK:
             out.append(p)

@@ -314,30 +314,47 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 #
 # Every conv is GEMMs over channel-major im2col columns, (C·kh·kw, N·Ho·Wo), so
 # the im2col copy and the col2im adds run over contiguous (N, Ho, Wo) blocks and
-# each GEMM writes its block of the channel-major output in place. ``_plan``
-# decides how a conv runs, by four rules:
+# each GEMM writes its block of the channel-major output in place. A backward
+# columnises one of its two operands:
+#
+# - The adjoint path, for a stride-1 conv with odd kh and kw that needs dX. Its
+#   same padding is symmetric, so dX is the same conv of g with the flipped,
+#   transposed kernel W̃ (Dumoulin & Visin, arXiv:1603.07285, relation 1), and
+#   g's columns (K·kh·kw rows) give dX = W̃·gcols and dWᵀ = x·gcolsᵀ: one
+#   im2col, two GEMMs and no col2im.
+# - The column path, for every other conv: strided, even-sided, or with no dX
+#   to compute (the stem). It rebuilds its forward's columns of x, takes
+#   dW = g·colsᵀ, and scatters dX back from Wᵀ·g through kh·kw strided col2im
+#   adds (Chellapilla et al., 2006).
+#
+# ``_plan`` decides how a pass runs over the operand it columnises (x, or g with
+# K and C swapped), by four rules:
 #
 # - The split. A conv whose work 2·K·C·kh·kw·N·Ho·Wo reaches ``_SPLIT_FLOP``
 #   cuts its batch into P = min(N, ``_CORES``) contiguous sample ranges, the
 #   per-core batch split of Caffe con Troll (Hadjis et al., arXiv:1504.04343);
 #   a smaller conv is one range. ``_run_ranges`` runs the ranges, forward and
-#   backward alike, and each writes only its own samples of the results.
+#   backward alike, and each writes only its own samples of the results. Both
+#   backward paths do the same work, so they split alike.
 # - The chunk plan. Columns are the memory im2col costs (MEC, Cho & Brand,
 #   arXiv:1706.06873), so a range runs in the most whole-sample chunks whose
 #   GEMMs all keep at least ``_MIN_GEMM_COLS`` columns (one chunk if the range
 #   has fewer), unless a chunk's columns would then exceed ``_COLS_CHUNK // P``
 #   elements: then in the fewest chunks within that, one sample each if one
 #   sample exceeds it. ``_even_bounds`` sizes the chunks. The plan depends only
-#   on the shapes, so a backward rebuilds its forward's columns.
+#   on the shapes of what it columnises, so a column-path backward rebuilds its
+#   forward's columns chunk for chunk; an adjoint-path backward chunks g's.
 # - Scratch taken on the caller. Range i fills one slot of the calling thread,
 #   ``cols`` or ``cols{i}``, which holds its largest chunk's columns and behind
-#   them that chunk's same-padded input, unless the conv pads nothing (a 1×1
-#   kernel reads its input unpadded). So a pool thread that runs a range
-#   allocates nothing: its own malloc arena would keep what it took.
+#   them that chunk's same-padded operand, unless the conv pads nothing (a 1×1
+#   kernel reads its operand unpadded). The adjoint path's W̃ is the caller's
+#   ``wflip`` slot. So a pool thread that runs a range allocates nothing: its
+#   own malloc arena would keep what it took.
 # - dX is a view. ``_conv_backward`` returns dX as a view of the calling
-#   thread's ``col2im`` slot, so it must be consumed (copied, added or
-#   multiplied into another array) before the next conv backward runs, even
-#   within one pull.
+#   thread's ``col2im`` slot: the column path's crop of the padded sum it
+#   scatters there, the adjoint path's whole slot, which its GEMMs write. Either
+#   way it must be consumed (copied, added or multiplied into another array)
+#   before the next conv backward runs, even within one pull.
 
 
 def _same_pad(extent: int, k: int, stride: int) -> tuple[int, int, int]:
@@ -513,50 +530,65 @@ def _conv_backward(
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """dW, and dX if ``need_dx``, of ``conv2d_cnhw(x, w, stride)`` for its output gradient ``g``.
 
-    ``x`` and ``g`` are channel-major, (C, N, H, W) and (K, N, Ho, Wo). Each
-    range's dW, and the product buffer of a range of several chunks, is taken
-    on the caller; a split call sums the ranges' dWs in place into the first,
-    in range order, so the result does not depend on which thread ran which
-    range. dX is a (C, N, H, W) view of the ``col2im`` slot.
+    ``x`` and ``g`` are channel-major, (C, N, H, W) and (K, N, Ho, Wo). The
+    operand the path columnises is ``src``; ``other`` pairs with its columns in
+    the dW GEMM, which the adjoint path runs as dWᵀ and returns as a flipped,
+    transposed view. Each range's dW, and the product buffer of a range of
+    several chunks, is taken on the caller; a split call sums the ranges' dWs
+    in place into the first, in range order, so the result does not depend on
+    which thread ran which range. dX is a (C, N, H, W) view of the ``col2im``
+    slot.
     """
     c, n, h, wd = x.shape
     k, _, kh, kw = w.shape
     sh, sw = stride
-    ho, pt, pb = _same_pad(h, kh, sh)
-    wo, pl, pr = _same_pad(wd, kw, sw)
-    wmat = w.reshape(k, -1)
-    plan = _plan(x, kh, kw, sh, sw, k)
+    adjoint = need_dx and stride == (1, 1) and kh % 2 == 1 and kw % 2 == 1
+    src, other = (g, x) if adjoint else (x, g)
+    rows, depth = other.shape[0], src.shape[0] * kh * kw
+    plan = _plan(src, kh, kw, sh, sw, rows)
     # range 0's dW, which the call returns, is taken after the other ranges': taken first, it
     # raised a train_toy run's peak RSS by about 4 MiB through where the heap placed it
-    parts = [np.empty(wmat.shape) for _ in plan[1:]]
-    dw = np.empty(wmat.shape)
-    prods = [np.empty(wmat.shape) if len(chunks) > 1 else None for chunks, _, _ in plan]
-    if need_dx:
-        hp, wp = h + pt + pb, wd + pl + pr
+    parts = [np.empty((rows, depth)) for _ in plan[1:]]
+    dw = np.empty((rows, depth))
+    prods = [np.empty((rows, depth)) if len(chunks) > 1 else None for chunks, _, _ in plan]
+    if adjoint:
+        # W̃ is taken on the caller like the columns: a fresh copy per call raised
+        # TestSplitBackwardMemory's peak from within 2.1× dW to 3.0×
+        wt = _scratch(w.size, "wflip").reshape(c, k, kh, kw)
+        np.copyto(wt, w.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1])
+        wt = wt.reshape(c, depth)
+        dx = _scratch(x.size, "col2im").reshape(c, n * h * wd)
+    elif need_dx:
+        ho, pt, pb = _same_pad(h, kh, sh)
+        wo, pl, pr = _same_pad(wd, kw, sw)
+        wmat, hp, wp = w.reshape(k, depth), h + pt + pb, wd + pl + pr
         # a reused slot, not an owned dX: owning it cost train_toy about 12% of its strips/s
         dxp = _scratch(c * n * hp * wp, "col2im").reshape(c, n, hp, wp)
 
     def run(chunks, buf: np.ndarray, pad: np.ndarray | None, dw: np.ndarray, prod: np.ndarray | None) -> None:
         for s, e in chunks:
-            g2 = g[:, s:e].reshape(k, -1)
-            cols = _im2col(x[:, s:e], kh, kw, sh, sw, buf, pad)
-            cmat = cols.reshape(wmat.shape[1], -1)
+            cols = _im2col(src[:, s:e], kh, kw, sh, sw, buf, pad)
+            cmat = cols.reshape(depth, -1)
+            o2 = other[:, s:e].reshape(rows, -1)
             if s == chunks[0][0]:
-                np.matmul(g2, cmat.T, out=dw)
+                np.matmul(o2, cmat.T, out=dw)
             else:
-                dw += np.matmul(g2, cmat.T, out=prod)
-            if need_dx:
-                np.matmul(wmat.T, g2, out=cmat)  # the chunk's column gradient
+                dw += np.matmul(o2, cmat.T, out=prod)
+            if adjoint:
+                np.matmul(wt, cmat, out=dx[:, s * h * wd : e * h * wd])
+            elif need_dx:
+                np.matmul(wmat.T, o2, out=cmat)  # the chunk's column gradient
                 dxp[:, s:e] = 0.0
                 for i in range(kh):
                     for j in range(kw):
                         dxp[:, s:e, i : i + sh * ho : sh, j : j + sw * wo : sw] += cols[:, i, j]
 
     _run_ranges([partial(run, *r, acc, prod) for r, acc, prod in zip(plan, [dw, *parts], prods)])
-    dx = dxp[:, :, pt : pt + h, pl : pl + wd] if need_dx else None
     for part in parts:
         dw += part
-    return dw.reshape(w.shape), dx
+    if adjoint:
+        return dw.reshape(c, k, kh, kw).transpose(1, 0, 2, 3)[:, :, ::-1, ::-1], dx.reshape(x.shape)
+    return dw.reshape(w.shape), dxp[:, :, pt : pt + h, pl : pl + wd] if need_dx else None
 
 
 def conv2d(
@@ -569,9 +601,10 @@ def conv2d(
 
     Padding is "same": symmetric with the extra pixel on the bottom/right, and
     the output spatial size is ceil(extent / stride). A tape keeps only the
-    input and the weights, and the pull rebuilds the columns (recompute-for-
-    memory, Chen et al., arXiv:1604.06174), so a taped input must not be
-    mutated before backward, as ``mul`` and ``linear`` also assume.
+    input and the weights, and the pull builds the columns it needs, of the
+    input or of the output gradient (recompute-for-memory, Chen et al.,
+    arXiv:1604.06174), so a taped input must not be mutated before backward,
+    as ``mul`` and ``linear`` also assume.
     """
     if x.ndim != 4 or w.ndim != 4:
         raise ShapeError(f"conv2d expects 4-D input and kernel, got {x.shape}, {w.shape}")

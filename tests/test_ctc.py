@@ -263,6 +263,8 @@ class TestFeasibilityHelpers:
         (lambda: ctc_loss(Tensor(np.full((2, 3), 1 / 3)), [1.9]), DataError),
         (lambda: ctc_loss(Tensor(np.full(3, 1 / 3)), []), ShapeError),
         (lambda: greedy_decode(np.full(3, 1 / 3)), ShapeError),
+        (lambda: collapse([1.9, 0, 1]), DataError),
+        (lambda: collapse([1, 0, True]), DataError),
     ],
     ids=[
         "empty-alphabet",
@@ -274,6 +276,8 @@ class TestFeasibilityHelpers:
         "label-float",
         "loss-rank",
         "decode-rank",
+        "collapse-float",
+        "collapse-bool",
     ],
 )
 def test_rejects(call, error):

@@ -333,13 +333,21 @@ class TestConv2dGrid:
         ho, wo = -(-5 // stride[0]), -(-7 // stride[1])
         monkeypatch.setattr(T, "_COLS_CHUNK", per_chunk * 2 * kernel[0] * kernel[1] * ho * wo)
         monkeypatch.setattr(T, "_MIN_GEMM_COLS", sys.maxsize)  # the budget alone sets the chunks
+
+        def planned(operand, k):
+            return sum(len(chunks) for chunks, _, _ in T._plan(operand, *kernel, *stride, k))
+
+        forward = planned(x.data.transpose(1, 0, 2, 3), 3)
+        # a stride-1 backward columnises the 3-channel output gradient for the 2 input channels
+        backward = planned(np.zeros((3, 5, ho, wo)), 2) if stride == (1, 1) else forward
         slots, chunks = [], []
         scratch, windows = T._scratch, T._windows
         monkeypatch.setattr(T, "_scratch", lambda size, slot: slots.append(slot) or scratch(size, slot))
         monkeypatch.setattr(T, "_windows", lambda xs, *a: chunks.append(xs.shape[1]) or windows(xs, *a))
         chunked = self.taped_results(x, w, b, stride)
         free = T.conv2d(x, w, b, stride=stride).data
-        assert len(chunks) == 3 * -(-5 // per_chunk)  # taped forward, backward, untracked forward
+        assert forward == -(-5 // per_chunk)
+        assert len(chunks) == 2 * forward + backward  # taped forward, backward, untracked forward
         assert slots.count("cols") == 3 and slots.count("col2im") == 1  # taken once per pass
         for got, want in zip((*chunked, free), (*whole, whole[0])):
             assert rel_gap(got, want) <= 1e-12
@@ -728,21 +736,51 @@ class TestSplitBackward:
             assert rel_gap(a, b) <= 1e-12
 
 
+ADJOINT_CASES = sorted({p.values[:2] for p in SAME_GRID}) + [((2, 2), (1, 1))]
+
+
+class TestConvAdjoint:
+    """The backward is the adjoint of the forward: conv is bilinear, so
+    ⟨g, conv(x, w)⟩ = ⟨dX, x⟩ = ⟨dW, w⟩ holds to rounding, a bound 10⁶ times
+    tighter than the finite-difference checks. Stride-1 odd kernels take the
+    adjoint path, every other case the column path."""
+
+    @pytest.mark.parametrize("split", [False, True], ids=["serial", "split"])
+    @pytest.mark.parametrize("c,k", [(3, 2), (2, 3)], ids=["K<C", "K>C"])
+    @pytest.mark.parametrize(
+        "kernel,stride", ADJOINT_CASES, ids=[f"k{a}x{b}-s{s}x{t}" for (a, b), (s, t) in ADJOINT_CASES]
+    )
+    def test_inner_products_agree(self, monkeypatch, kernel, stride, c, k, split):
+        r = rng()
+        x, w = r.uniform(-2, 2, (c, 5, 5, 7)), r.uniform(-1, 1, (k, c) + kernel)
+        monkeypatch.setattr(T, "_SPLIT_FLOP", 0 if split else float("inf"))
+        monkeypatch.setattr(T, "_CORES", 2)
+        y = T.conv2d_cnhw(x, w, stride)
+        g = r.uniform(-1, 1, y.shape)
+        dw, dx = T._conv_backward(x, w, stride, g, True)
+        want = np.vdot(g, y)
+        for got in (np.vdot(dx, x), np.vdot(dw, w)):
+            assert abs(got - want) <= 1e-12 * abs(want)
+
+
 class TestSplitBackwardMemory:
-    def test_one_chunk_per_range_writes_dw_in_place(self, monkeypatch):
+    @pytest.mark.parametrize("stride", [(1, 1), (2, 2)], ids=["adjoint-s1", "columns-s2"])
+    def test_one_chunk_per_range_writes_dw_in_place(self, monkeypatch, stride):
         # two ranges of one chunk each: each GEMM writes its range's dW and the second sums
         # into the first, so the call takes 2× its dW; zero-filled accumulators, product
-        # buffers and a summed copy would take 5×
+        # buffers and a summed copy would take 5×. At stride 1 the ranges columnise g, at
+        # stride 2 they columnise x.
         r = rng()
-        x, w, g = r.uniform(-1, 1, (128, 2, 4, 4)), r.uniform(-1, 1, (128, 128, 3, 3)), r.uniform(-1, 1, (128, 2, 4, 4))
+        ho = 4 // stride[0]
+        x, w, g = r.uniform(-1, 1, (128, 2, 4, 4)), r.uniform(-1, 1, (128, 128, 3, 3)), r.uniform(-1, 1, (128, 2, ho, ho))
         monkeypatch.setattr(T, "_SPLIT_FLOP", 0)
         monkeypatch.setattr(T, "_CORES", 2)
-        assert [len(chunks) for chunks, _, _ in T._plan(x, 3, 3, 1, 1, 128)] == [1, 1]
-        want = split_backward((x, w, (1, 1), g, True))  # also grows the scratch slots
+        assert [len(chunks) for chunks, _, _ in T._plan(g if stride == (1, 1) else x, 3, 3, *stride, 128)] == [1, 1]
+        want = split_backward((x, w, stride, g, True))  # also grows the scratch slots
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            dw, dx = T._conv_backward(x, w, (1, 1), g, True)
+            dw, dx = T._conv_backward(x, w, stride, g, True)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
